@@ -4,7 +4,7 @@
 // light kernels); ASan and UaF sweep {2, 4, 6, 8, 10, 12}.
 //
 // The grid itself lives in src/soc/figures.cc (fig10_points), shared with
-// tools/simspeed so the speed trajectory always measures the real grid.
+// `fgsim speed` so the speed trajectory always measures the real grid.
 //
 // Paper shape to check: PMC 2µ=1.20 -> 4µ=1.02 (x264 lags) -> 6µ all <1.05;
 // SS 2µ=1.073 -> 4µ=1.021 -> 6µ=1.004; ASan heavy (2µ=1.86, bodytrack /
@@ -16,7 +16,7 @@ namespace fgbench {
 namespace {
 
 void register_all() {
-  // Same grid definition tools/simspeed measures (src/soc/figures.cc),
+  // Same grid definition `fgsim speed` measures (src/soc/figures.cc),
   // lifted onto the spec path: each point round-trips through an
   // ExperimentSpec, so any point is exportable and runnable standalone.
   for (const soc::SweepPoint& p : soc::fig10_points(soc::default_trace_len())) {

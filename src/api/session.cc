@@ -8,7 +8,6 @@
 #include "src/baseline/instrument.h"
 #include "src/common/check.h"
 #include "src/common/invariant.h"
-#include "src/common/simctl.h"
 #include "src/common/thread_pool.h"
 #include "src/soc/soc.h"
 
@@ -22,30 +21,6 @@ double now_ms() {
              clock::now().time_since_epoch())
       .count();
 }
-
-/// Applies SessionConfig::sched for the duration of a run: the scheduler
-/// selector is a process-global flag (like FG_CYCLE_EXACT), so force it
-/// RAII-style and restore on exit. Bit-identity across schedulers makes any
-/// cross-session overlap harmless to results.
-class SchedModeGuard {
- public:
-  explicit SchedModeGuard(SessionConfig::Sched s)
-      : active_(s != SessionConfig::Sched::kInherit) {
-    if (active_) {
-      prev_ = pipeline_enabled();
-      set_pipeline(s == SessionConfig::Sched::kPipelined);
-    }
-  }
-  ~SchedModeGuard() {
-    if (active_) set_pipeline(prev_);
-  }
-  SchedModeGuard(const SchedModeGuard&) = delete;
-  SchedModeGuard& operator=(const SchedModeGuard&) = delete;
-
- private:
-  bool active_;
-  bool prev_ = false;
-};
 
 }  // namespace
 
@@ -188,14 +163,12 @@ RunOutcome SimSession::execute(u32 index) {
 }
 
 const RunOutcome& SimSession::run() {
-  SchedModeGuard sched_guard(cfg_.sched);
   if (!results_.front().executed) results_.front() = execute(0);
   return results_.front();
 }
 
 const std::vector<RunOutcome>& SimSession::run_all() {
   if (ran_) return results_;
-  SchedModeGuard sched_guard(cfg_.sched);
   const double t0 = now_ms();
   std::vector<u32> todo;  // run() may have executed a point already
   todo.reserve(points_.size());
@@ -255,11 +228,6 @@ std::string outcome_json(const RunOutcome& o, int indent) {
   sched.set("slow_ticks_run", Value::of(o.result.sched.slow_ticks_run));
   sched.set("slow_ticks_skipped",
             Value::of(o.result.sched.slow_ticks_skipped));
-  sched.set("pipe_epochs", Value::of(o.result.sched.pipe_epochs));
-  sched.set("pipe_prereleased", Value::of(o.result.sched.pipe_prereleased));
-  sched.set("pipe_synced", Value::of(o.result.sched.pipe_synced));
-  sched.set("pipe_fast_spins", Value::of(o.result.sched.pipe_fast_spins));
-  sched.set("pipe_slow_spins", Value::of(o.result.sched.pipe_slow_spins));
   v.set("sched", std::move(sched));
   v.set("wall_ms", Value::of_double(o.wall_ms));
   std::string out = json::dump(v, indent);

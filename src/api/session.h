@@ -50,13 +50,6 @@ struct SessionConfig {
   /// Run the unmonitored baseline (memoized) and fill slowdown. Ignored
   /// for mode == baseline specs, whose run IS the baseline.
   bool with_baseline = true;
-  /// Scheduler for the session's runs: kInherit keeps the process-wide
-  /// FG_PIPELINE / FG_CYCLE_EXACT mode; kSerial / kPipelined force the flag
-  /// for the duration of run() / run_all() (restored afterwards). All
-  /// schedulers are bit-identical, so forcing the mode never changes a
-  /// result — only the wall clock.
-  enum class Sched { kInherit, kSerial, kPipelined };
-  Sched sched = Sched::kInherit;
 };
 
 /// The execution half of the session: turns ONE concrete grid point into a

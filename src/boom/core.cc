@@ -313,11 +313,10 @@ void BoomCore::skip_to(Cycle target) {
   // Only a fixed-point core may be fast-forwarded: the dispatch-block hint
   // recorded by the last (inactive) tick is what skip_to charges stalls by.
   FG_INVARIANT(!active_, "boom.skip_fixed_point");
-  // The horizon contract both schedulers lean on (the serial loop skips
-  // straight from next_event(); the pipelined fast thread additionally
-  // sizes whole elided boundary stretches from it, so an overshoot here
-  // would silently corrupt a run rather than just a counter): the target
-  // must not pass the first cycle this core can act again.
+  // The horizon contract the event loop leans on (it skips straight from
+  // next_event(), so an overshoot here would silently corrupt a run rather
+  // than just a counter): the target must not pass the first cycle this
+  // core can act again.
   FG_INVARIANT(target <= next_event(), "boom.skip_within_horizon");
   const u64 d = target - now_;
   if (d == 0) return;

@@ -20,12 +20,11 @@ std::optional<u64> parse_u64_strict(const char* s) {
 
 namespace {
 
-[[noreturn]] void die(const char* name, const char* text, const char* why,
-                      const char* expected = "a decimal unsigned integer") {
+[[noreturn]] void die(const char* name, const char* text, const char* why) {
   std::fprintf(stderr,
-               "FATAL: environment variable %s=\"%s\" is %s; expected %s. "
-               "Unset it or fix the value.\n",
-               name, text, why, expected);
+               "FATAL: environment variable %s=\"%s\" is %s; expected a "
+               "decimal unsigned integer. Unset it or fix the value.\n",
+               name, text, why);
   std::abort();
 }
 
@@ -46,14 +45,6 @@ u32 env_u32_or(const char* name, u32 fallback) {
   if (!parsed) die(name, v, "not a valid u64 (malformed or overflowing)");
   if (*parsed > 0xffff'ffffull) die(name, v, "out of u32 range");
   return static_cast<u32>(*parsed);
-}
-
-bool env_flag01(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  if (v[0] == '0' && v[1] == '\0') return false;
-  if (v[0] == '1' && v[1] == '\0') return true;
-  die(name, v, "not a valid mode flag", "\"0\" or \"1\"");
 }
 
 }  // namespace fg

@@ -28,10 +28,4 @@ u64 env_u64_or(const char* name, u64 fallback);
 /// aborts when the value exceeds u32 range instead of truncating.
 u32 env_u32_or(const char* name, u32 fallback);
 
-/// Read env var `name` as a strict boolean knob: unset or empty → `fallback`,
-/// "0" → false, "1" → true. Anything else (FG_PIPELINE=yes, =true, =2, …)
-/// aborts loudly — mode selectors must never be silently misread, because a
-/// run in the wrong scheduler mode still produces plausible-looking numbers.
-bool env_flag01(const char* name, bool fallback);
-
 }  // namespace fg

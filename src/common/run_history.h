@@ -1,7 +1,7 @@
 // Carry-forward loader for the `"runs": [ ... ]` history array that
-// tools/simspeed appends to BENCH_sim_speed.json (schema fireguard/
-// sim_speed/v4; v2/v3 histories read identically — the loader is
-// text-level and the record helpers skip fields a record predates).
+// `fgsim speed` appends to BENCH_sim_speed.json (schema fireguard/
+// sim_speed/v5; v2–v4 histories read identically — the loader is
+// text-level and the record helpers skip fields a record lacks).
 // Factored out of the tool so the append path is unit-testable
 // and so --check can distinguish "no history file" (a CI misconfiguration
 // that must fail loudly) from "history present" — silently starting a fresh
@@ -24,7 +24,7 @@ const char* history_status_name(HistoryStatus s);
 
 /// Reads `path` and extracts the comma-joined items of its `"runs"` array
 /// into `*items` (empty string for an empty array). Text-level extraction:
-/// the file is simspeed's own output format. On kMissing/kMalformed, *items
+/// the file is `fgsim speed`'s own output format. On kMissing/kMalformed, *items
 /// is cleared.
 HistoryStatus load_runs_history(const std::string& path, std::string* items);
 

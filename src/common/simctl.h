@@ -5,18 +5,11 @@
 // results). `FG_CYCLE_EXACT=1` in the environment — or set_cycle_exact(true)
 // from a test — forces the historical one-cycle-at-a-time loop, which is the
 // reference the differential suite compares the event-driven path against.
-//
-// `FG_PIPELINE=1` — or set_pipeline(true) — selects the two-thread epoch
-// pipeline for `Soc::run()`: the fast domain (core + filter/mapper) and the
-// slow domain (µcore fabric + NoC) run concurrently, exchanging CDC traffic
-// at barrier-synced epoch boundaries, bit-identical to serial. FG_CYCLE_EXACT
-// takes precedence: the stepped reference loop is always serial.
 #pragma once
 
 #include <atomic>
 #include <cstdlib>
 
-#include "src/common/env.h"
 #include "src/common/types.h"
 
 namespace fg {
@@ -46,31 +39,6 @@ inline bool cycle_exact() {
 /// Test hook: force or release the cycle-exact reference loop.
 inline void set_cycle_exact(bool exact) {
   detail::cycle_exact_flag().store(exact ? 1 : 0, std::memory_order_relaxed);
-}
-
-namespace detail {
-inline std::atomic<int>& pipeline_flag() {
-  // -1 = uninitialised (read FG_PIPELINE on first use), 0/1 = forced.
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-}  // namespace detail
-
-/// True when the two-thread epoch pipeline is requested. Callers that also
-/// honour FG_CYCLE_EXACT must check cycle_exact() first — the stepped
-/// reference always runs serial (Soc::run does this).
-inline bool pipeline_enabled() {
-  int v = detail::pipeline_flag().load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = env_flag01("FG_PIPELINE", false) ? 1 : 0;
-    detail::pipeline_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-/// Test hook: force or release the pipelined scheduler.
-inline void set_pipeline(bool pipelined) {
-  detail::pipeline_flag().store(pipelined ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace fg

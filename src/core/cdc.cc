@@ -10,7 +10,7 @@ CdcFifo::CdcFifo(u32 depth, u32 ratio) : ratio_(ratio), q_(depth) {
 }
 
 void CdcFifo::push(const Packet& p, Cycle now_fast) {
-  FG_CHECK(can_push());
+  FG_CHECK(!q_.full());
   // The slow domain observes the write pointer one full slow cycle after the
   // fast-domain push (two-flop synchronizer + valid/ready handshake).
   const Cycle slow_now = now_fast / ratio_;
@@ -23,35 +23,15 @@ void CdcFifo::push(const Packet& p, Cycle now_fast) {
   FG_INVARIANT(ready >= last_ready_slow_, "cdc.handshake_monotone");
   last_push_fast_ = now_fast;
   last_ready_slow_ = ready;
-  if (ring_) {
-    ring_->push(Entry{p, ready});
-  } else {
-    q_.push(Entry{p, ready});
-  }
+  q_.push(Entry{p, ready});
   ++stats_.pushes;
 }
 
 bool CdcFifo::can_pop(Cycle now_slow) const {
-  if (ring_) {
-    return ring_->consumer_size() > 0 && ring_->front().ready_slow <= now_slow;
-  }
   return !q_.empty() && q_.front().ready_slow <= now_slow;
 }
 
 Packet CdcFifo::pop() {
-  if (ring_) {
-    // Pipelined mode: this runs on the slow-domain thread, so the
-    // conservation witness must use the ring's published/owned counters —
-    // stats_.pushes belongs to the fast thread mid-run.
-    FG_INVARIANT(ring_->consumer_pops() < ring_->published_pushes(),
-                 "cdc.conservation");
-    Packet p = ring_->pop().p;
-    ++stats_.pops;
-    FG_INVARIANT(ring_->published_pushes() - ring_->consumer_pops() >=
-                     ring_->consumer_size(),
-                 "cdc.occupancy");
-    return p;
-  }
   FG_CHECK(!q_.empty());
   // Pop/push conservation: every packet popped was pushed exactly once.
   FG_INVARIANT(stats_.pops < stats_.pushes, "cdc.conservation");
@@ -59,24 +39,6 @@ Packet CdcFifo::pop() {
   ++stats_.pops;
   FG_INVARIANT(stats_.pushes - stats_.pops == q_.size(), "cdc.occupancy");
   return p;
-}
-
-void CdcFifo::begin_pipelined() {
-  FG_CHECK(q_.empty());
-  FG_CHECK(!ring_);
-  ring_ = std::make_unique<EpochRing<Entry>>(q_.capacity());
-}
-
-void CdcFifo::end_pipelined() {
-  FG_CHECK(ring_);
-  // The slow thread has joined, so both private indices are visible here.
-  // Preserve the unconsumed tail (pop order == push order) for post-run
-  // accessors, then fall back to serial storage.
-  ring_->finalize();
-  ring_->consumer_acquire();
-  ring_->producer_acquire();
-  while (ring_->consumer_size() > 0) q_.push(ring_->pop());
-  ring_.reset();
 }
 
 }  // namespace fg::core

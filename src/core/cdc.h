@@ -6,29 +6,10 @@
 // the fast domain becomes visible to the slow domain only after the
 // handshake settles (one slow-domain cycle), and capacity is small
 // (Table II: 8-entry CDC).
-//
-// Two storage modes share one interface:
-//
-//   serial (default)  — a plain RingQueue; every accessor touches it.
-//   pipelined         — begin_pipelined() swaps storage to an EpochRing so
-//     the fast-domain thread (pushes, occupancy checks) and the slow-domain
-//     thread (settled pops) each work against a private index plus a view of
-//     the other side published only at epoch barriers. The handshake's
-//     one-slow-cycle settle time is what makes this safe: a slow boundary k
-//     only ever pops entries pushed before fast cycle k*ratio, which the
-//     producer published at the preceding barrier. Producer-side accessors
-//     (can_push/full/empty/size/producer_next_ready_slow) see pops up to the
-//     last producer_acquire_epoch(); consumer-side accessors
-//     (can_pop/ready_count/front/pop) see pushes up to the last
-//     consumer_acquire_epoch(). Because pops happen only at boundaries and
-//     the producer re-acquires at every boundary, the producer view is not
-//     merely conservative but cycle-exact against the serial schedule.
 #pragma once
 
 #include <algorithm>
-#include <memory>
 
-#include "src/common/epoch_ring.h"
 #include "src/common/ring_queue.h"
 #include "src/common/simctl.h"
 #include "src/core/packet.h"
@@ -46,7 +27,7 @@ class CdcFifo {
   /// `depth`: FIFO capacity. `ratio`: fast cycles per slow cycle.
   CdcFifo(u32 depth, u32 ratio);
 
-  bool can_push() const { return ring_ ? ring_->can_push() : !q_.full(); }
+  bool can_push() const { return !q_.full(); }
 
   /// Push from the fast domain at fast-cycle `now_fast`.
   void push(const Packet& p, Cycle now_fast);
@@ -57,24 +38,8 @@ class CdcFifo {
 
   /// First slow cycle the head entry becomes poppable; kNoEvent when empty.
   /// (Entries settle in push order, so the head bounds the whole FIFO.)
-  /// Serial mode / slow-domain thread only.
   Cycle next_ready_slow() const {
-    if (ring_) {
-      return ring_->consumer_size() == 0 ? kNoEvent : ring_->front().ready_slow;
-    }
     return q_.empty() ? kNoEvent : q_.front().ready_slow;
-  }
-
-  /// The producer's view of next_ready_slow(): head settle time over the
-  /// entries not yet known-consumed at the last barrier. In pipelined mode
-  /// the fast thread sizes elidable boundary stretches with this; in serial
-  /// mode it is exactly next_ready_slow().
-  Cycle producer_next_ready_slow() const {
-    if (ring_) {
-      return ring_->producer_size() == 0 ? kNoEvent
-                                         : ring_->producer_front().ready_slow;
-    }
-    return next_ready_slow();
   }
 
   /// How many of the first `max_n` entries have settled by `now_slow` —
@@ -82,51 +47,20 @@ class CdcFifo {
   /// handshake per packet. Settle times are monotone in push order, so the
   /// scan stops at the first not-yet-ready entry.
   u32 ready_count(Cycle now_slow, u32 max_n) const {
-    if (ring_) {
-      const u32 lim =
-          static_cast<u32>(std::min<size_t>(max_n, ring_->consumer_size()));
-      u32 n = 0;
-      while (n < lim && ring_->at(n).ready_slow <= now_slow) ++n;
-      return n;
-    }
     const u32 lim = static_cast<u32>(std::min<size_t>(max_n, q_.size()));
     u32 n = 0;
     while (n < lim && q_.at(n).ready_slow <= now_slow) ++n;
     return n;
   }
 
-  const Packet& front() const { return ring_ ? ring_->front().p : q_.front().p; }
+  const Packet& front() const { return q_.front().p; }
   Packet pop();
 
-  size_t size() const { return ring_ ? ring_->producer_size() : q_.size(); }
-  bool full() const {
-    return ring_ ? ring_->producer_size() == ring_->capacity() : q_.full();
-  }
-  bool empty() const {
-    return ring_ ? ring_->producer_size() == 0 : q_.empty();
-  }
+  size_t size() const { return q_.size(); }
+  bool full() const { return q_.full(); }
+  bool empty() const { return q_.empty(); }
   void note_reject() { ++stats_.full_rejects; }
   const CdcStats& stats() const { return stats_; }
-
-  // --- epoch-pipelined handoff ---------------------------------------------
-
-  /// Switch to double-buffered storage. Must be called with the FIFO empty
-  /// and before the slow-domain thread exists.
-  void begin_pipelined();
-
-  /// Barrier hooks. The fast thread publishes its pushes before releasing a
-  /// boundary to the slow thread and acquires the pops after collecting it;
-  /// the slow thread mirrors that on its side of each boundary.
-  void producer_publish_epoch() { ring_->producer_publish(); }
-  void producer_acquire_epoch() { ring_->producer_acquire(); }
-  void consumer_acquire_epoch() { ring_->consumer_acquire(); }
-  void consumer_publish_epoch() { ring_->consumer_publish(); }
-
-  /// Tear down pipelined storage after the slow thread has joined: move any
-  /// unconsumed entries back into the serial queue so post-run accessors
-  /// keep working. (stats_.pops was maintained by the slow thread; the join
-  /// makes it visible here.)
-  void end_pipelined();
 
  private:
   struct Entry {
@@ -136,12 +70,10 @@ class CdcFifo {
 
   u32 ratio_;
   RingQueue<Entry> q_;
-  std::unique_ptr<EpochRing<Entry>> ring_;  // non-null in pipelined mode
   CdcStats stats_;
   // Handshake monotonicity witness: entries settle in push order, so each
   // push's ready_slow must be >= the previous one's (checked by
-  // FG_INVARIANT in push; cheap enough to maintain unconditionally). In
-  // pipelined mode only the fast (pushing) thread touches these.
+  // FG_INVARIANT in push; cheap enough to maintain unconditionally).
   Cycle last_ready_slow_ = 0;
   Cycle last_push_fast_ = 0;
 };

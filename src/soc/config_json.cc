@@ -422,7 +422,7 @@ std::optional<baseline::SwScheme> sw_scheme_from_name(const std::string& n) {
                            SwScheme::kAsanX8664, SwScheme::kDangSan}) {
     if (n == baseline::sw_scheme_name(s)) return s;
   }
-  // Short CLI spellings (the legacy fireguard-sim --software values).
+  // Short CLI spellings (the legacy `fgsim run --software` values).
   if (n == "shadow_llvm") return SwScheme::kShadowStackLlvm;
   if (n == "asan_x86") return SwScheme::kAsanX8664;
   if (n == "dangsan") return SwScheme::kDangSan;

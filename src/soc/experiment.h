@@ -34,7 +34,7 @@ KernelDeployment deploy(
 
 /// Table II with the detailed DRAM and page-table-walk timing models on —
 /// the memory/stall-bound configuration the event scheduler's speedup
-/// acceptance is measured against (tools/simspeed, skip-stress tests).
+/// acceptance is measured against (`fgsim speed`, skip-stress tests).
 SocConfig memstall_soc();
 
 /// The synthetic memstall workload (trace profile "memstall") at `n_insts`,

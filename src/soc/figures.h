@@ -1,5 +1,5 @@
 // The paper's workload set and figure sweep grids, defined once so the
-// bench binaries and tools/simspeed enumerate the SAME points — a grid
+// bench binaries and `fgsim speed` enumerate the SAME points — a grid
 // tuned in one place cannot silently drift from the speed trajectory that
 // claims to track it.
 #pragma once

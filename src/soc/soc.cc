@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <thread>
 
 #include "src/common/check.h"
 #include "src/common/invariant.h"
@@ -177,16 +176,11 @@ void Soc::on_commit(u32 lane, const trace::TraceInst& ti, Cycle now) {
 
 bool Soc::engine_queue_full(u32 engine) const {
   FG_CHECK(engine < engines_.size());
-  // Pipelined: answer from the boundary view — the live engines belong to
-  // the slow thread, and between boundaries the view IS the live value
-  // (occupancy only changes inside slow_tick).
-  if (pipe_view_ != nullptr) return pipe_view_->queue_full[engine] != 0;
   return engines_[engine].input_full();
 }
 
 size_t Soc::engine_queue_free(u32 engine) const {
   FG_CHECK(engine < engines_.size());
-  if (pipe_view_ != nullptr) return pipe_view_->queue_free[engine];
   return engines_[engine].input_free();
 }
 
@@ -233,9 +227,7 @@ void Soc::slow_tick(Cycle now_slow) {
   // freezing them changes). This is the common state whenever the main core
   // runs ahead of the event stream, and it is what lets light kernels
   // simulate at near-baseline speed. The gate is can_pop (not empty): an
-  // unsettled head is untouchable this cycle anyway, and in pipelined mode
-  // occupancy is the one CDC fact this (slow-thread) path must not read —
-  // can_pop sees only boundary-published entries.
+  // unsettled head is untouchable this cycle anyway.
   if (!cdc.can_pop(now_slow) && noc_->pending() == 0) {
     bool all_idle = true;
     for (const Engine& e : engines_) {
@@ -352,12 +344,6 @@ Cycle Soc::slow_next_event(Cycle now_slow) const {
 }
 
 void Soc::run() {
-  // FG_CYCLE_EXACT wins over FG_PIPELINE: the stepped reference loop is the
-  // serial baseline every other scheduler is differentially tested against.
-  if (pipeline_enabled() && !cycle_exact()) {
-    run_pipelined();
-    return;
-  }
   const u32 ratio = std::max<u32>(1, cfg_.frontend.freq_ratio);
   const bool exact = cycle_exact();
   bool core_done = false;
@@ -547,306 +533,6 @@ void Soc::run() {
     if (core_done && fast_now_ - core_done_cycle_ > kDrainBackstop) break;
   }
   if (!core_done) core_done_cycle_ = core_->now();
-}
-
-Soc::SlowView Soc::make_slow_view(Cycle now_slow) {
-  SlowView v;
-  v.engines_blocked = engines_blocked_;
-  v.drained = engines_drained();
-  v.rest_horizon = slow_rest_horizon(now_slow);
-  for (u32 e = 0; e < engines_.size(); ++e) {
-    v.queue_full[e] = engines_[e].input_full() ? 1 : 0;
-    v.queue_free[e] = static_cast<u32>(engines_[e].input_free());
-  }
-  return v;
-}
-
-void Soc::slow_worker(EpochChannel<SlowCmd, SlowView>& ch, Cycle slow_now) {
-  core::CdcFifo& cdc = frontend_->cdc();
-  u64 spins = 0;
-  for (;;) {
-    SlowCmd cmd;
-    ch.next(&cmd, &spins);
-    if (cmd.elide != 0) {
-      // The fast thread proved these boundaries structural no-ops against
-      // the last boundary view; all they owe is the per-tick stall
-      // accounting, charged in bulk exactly like the serial skip paths.
-      for (ucore::UCore* uc : ucores_) {
-        if (uc != nullptr && !uc->idle() && !uc->halted()) {
-          uc->charge_skipped_stall(cmd.elide);
-        }
-      }
-      engines_blocked_ = false;
-      slow_now += cmd.elide;
-      sched_.slow_ticks_skipped += cmd.elide;
-    }
-    if (cmd.run != 0) {
-      cdc.consumer_acquire_epoch();
-      slow_tick(slow_now++);
-      ++sched_.slow_ticks_run;
-    }
-    const SlowView v = make_slow_view(slow_now);
-    cdc.consumer_publish_epoch();
-    ch.ack(v);
-    if (cmd.last != 0) break;
-  }
-  sched_.pipe_slow_spins = spins;
-}
-
-// Two-thread epoch pipeline, bit-identical to the serial schedulers.
-//
-// Why bit-identity holds: every fast→slow influence crosses through the CDC
-// handshake, which settles one full slow cycle after the push — so boundary
-// k only ever pops packets pushed before fast cycle k*ratio, one whole epoch
-// of lookahead. Every slow→fast influence (engine queue occupancy,
-// engines_blocked, drained) mutates only inside slow_tick, i.e. only at
-// boundaries — so a snapshot taken at boundary k-1 IS the live value for all
-// of epoch k. The fast thread therefore runs epoch k's cycles against the
-// boundary-(k-1) view while the slow thread concurrently executes boundary k
-// on the pre-epoch-k packet set: exactly the serial interleaving, reordered
-// only across provably independent state. The one zero-lag edge — commit-
-// order shadow-heap writes for split (ASan/UAF) kernels — is handled by
-// never prereleasing boundaries in those configs: a barrier-synced submit
-// orders every commit of the epoch before the boundary that may read it.
-//
-// Each boundary is planned one of three ways:
-//   elide      — the boundary-view horizon proves the slow tick would be a
-//                structural no-op; charge stall accounting in bulk (the
-//                serial event loop does the same inside skip windows).
-//   prerelease — real work, and no loop break can preempt the boundary:
-//                submit at epoch start, overlap with the epoch's fast
-//                cycles, collect at the barrier.
-//   sync       — real work but a break could land mid-epoch (or the config
-//                splits kernels): submit and collect at the barrier itself.
-void Soc::run_pipelined() {
-  const u32 ratio = std::max<u32>(1, cfg_.frontend.freq_ratio);
-  bool core_done = false;
-  u64 grace = 0;
-  u32 until_slow = ratio;
-  Cycle slow_now = fast_now_ / ratio;  // next boundary index to issue
-  bool core_active = true;
-  core::CdcFifo& cdc = frontend_->cdc();
-  const bool serialize_split = !shadow_mems_.empty();
-
-  // Seed the view from live state before the slow thread exists, then hand
-  // every piece of slow-domain state over to it until the join.
-  SlowView cur = make_slow_view(slow_now);
-  bool eb_view = cur.engines_blocked;
-  pipe_view_ = &cur;
-  cdc.begin_pipelined();
-  EpochChannel<SlowCmd, SlowView> ch;
-  u64 pending_elide = 0;
-  bool inflight = false;
-  std::thread slow_thread([this, &ch, slow_now] { slow_worker(ch, slow_now); });
-
-  // The fast thread's slow_next_event(j): boundary-view rest horizon (frozen
-  // between real ticks) combined with the producer-exact CDC head. Exact
-  // against the serial schedule — the producer re-acquires at every
-  // collected boundary and pops happen nowhere else.
-  const auto view_slow_ev = [&](Cycle j) {
-    Cycle h = cur.rest_horizon == kNoEvent ? kNoEvent
-                                           : std::max(cur.rest_horizon, j);
-    const Cycle cdc_ready = cdc.producer_next_ready_slow();
-    if (cdc_ready != kNoEvent) h = std::min(h, std::max(cdc_ready, j));
-    return h;
-  };
-  const auto submit_boundary = [&](u8 last) {
-    cdc.producer_publish_epoch();
-    ch.submit(SlowCmd{pending_elide, 1, last});
-    pending_elide = 0;
-    inflight = true;
-  };
-  const auto collect_boundary = [&] {
-    cur = ch.collect(&sched_.pipe_fast_spins);
-    cdc.producer_acquire_epoch();
-    eb_view = cur.engines_blocked;
-    inflight = false;
-  };
-  const auto sync_boundary = [&] {
-    submit_boundary(0);
-    collect_boundary();
-    ++slow_now;
-    ++sched_.pipe_synced;
-  };
-  // No break can land inside the upcoming epoch: the max-cycles cap, the
-  // grace counter (which grows by at most `ratio` per epoch), and the drain
-  // backstop all stay un-tripped through its last cycle — so its boundary
-  // provably fires, and prereleasing it is safe.
-  const auto break_free = [&] {
-    if (fast_now_ + ratio > cfg_.max_fast_cycles) return false;
-    if (grace + ratio > kGraceLimit) return false;
-    if (core_done && fast_now_ + ratio > core_done_cycle_ + kDrainBackstop) {
-      return false;
-    }
-    return true;
-  };
-
-  while (fast_now_ < cfg_.max_fast_cycles) {
-    if (until_slow == ratio) {
-      // --- Epoch start: event-skip evaluation, then boundary planning. ----
-      FG_CHECK(!inflight);
-      const Cycle core_ev = core_active  ? 0
-                            : core_done  ? kNoEvent
-                                         : core_->next_event();
-      if (core_ev > fast_now_ + 1 && frontend_->filter().buffered() == 0) {
-        if (!core_done) {
-          // Drain window (see the serial loop): jump the core to its
-          // horizon; interior boundaries run as barrier-synced real ticks
-          // or accumulate as elisions flushed with the next real one.
-          const Cycle target = std::min<Cycle>(core_ev, cfg_.max_fast_cycles);
-          if (target > fast_now_ + 1) {
-            const u64 delta = target - fast_now_;
-            core_->skip_to(target);
-            Cycle boundary = fast_now_ + (until_slow - 1);
-            const bool had_boundary = boundary < target;
-            while (boundary < target) {
-              const Cycle slow_ev = view_slow_ev(slow_now);
-              if (slow_ev > slow_now) {
-                const u64 remaining = 1 + (target - 1 - boundary) / ratio;
-                const u64 nb =
-                    slow_ev == kNoEvent
-                        ? remaining
-                        : std::min<u64>(remaining, slow_ev - slow_now);
-                pending_elide += nb;
-                eb_view = false;
-                slow_now += nb;
-                boundary += nb * ratio;
-              } else {
-                sync_boundary();
-                boundary += ratio;
-              }
-            }
-            until_slow = static_cast<u32>(boundary - target + 1);
-            fast_now_ = target;
-            sched_.cycles_skipped += delta;
-            ++sched_.skips;
-            if (had_boundary) ++sched_.drain_windows;
-            ++sched_.skip_len_hist[std::min<u32>(
-                static_cast<u32>(sched_.skip_len_hist.size() - 1),
-                std::bit_width(delta) - 1)];
-            if (target == core_ev) {
-              ++sched_.bound_core;
-            } else {
-              ++sched_.bound_cap;
-            }
-            continue;
-          }
-        } else {
-          // Post-completion skip (see the serial loop), predicates answered
-          // from the boundary view and the producer-exact CDC.
-          Cycle target = kNoEvent;
-          bool bound_is_slow = false;
-          const Cycle slow_ev = view_slow_ev(slow_now);
-          if (slow_ev != kNoEvent) {
-            target =
-                fast_now_ + (until_slow - 1) + (slow_ev - slow_now) * ratio;
-            bound_is_slow = true;
-          }
-          Cycle cap = std::min(cfg_.max_fast_cycles,
-                               core_done_cycle_ + kDrainBackstop + 1);
-          const bool grace_cond = cdc.empty() && cur.drained;
-          if (grace_cond) {
-            cap = std::min(cap, fast_now_ + (kGraceLimit + 1 - grace));
-          }
-          if (cap < target) {
-            target = cap;
-            bound_is_slow = false;
-          }
-          if (target != kNoEvent && target > fast_now_ + 1) {
-            const u64 delta = target - fast_now_;
-            const Cycle first_boundary = fast_now_ + (until_slow - 1);
-            if (first_boundary < target) {
-              const u64 k = 1 + (target - 1 - first_boundary) / ratio;
-              pending_elide += k;
-              slow_now += k;
-              eb_view = false;
-              until_slow =
-                  static_cast<u32>(first_boundary + k * ratio - target + 1);
-            } else {
-              until_slow -= static_cast<u32>(delta);
-            }
-            fast_now_ = target;
-            sched_.cycles_skipped += delta;
-            ++sched_.skips;
-            ++sched_.skip_len_hist[std::min<u32>(
-                static_cast<u32>(sched_.skip_len_hist.size() - 1),
-                std::bit_width(delta) - 1)];
-            if (bound_is_slow) {
-              ++sched_.bound_slow;
-            } else {
-              ++sched_.bound_cap;
-            }
-            if (grace_cond) {
-              grace += delta;
-              if (grace > kGraceLimit) break;
-            } else {
-              grace = 0;
-            }
-            if (fast_now_ - core_done_cycle_ > kDrainBackstop) break;
-            continue;
-          }
-        }
-      }
-      // Prerelease: the epoch's boundary carries real work and provably
-      // fires — run it on the slow thread while this thread runs the epoch.
-      if (!serialize_split && view_slow_ev(slow_now) <= slow_now &&
-          break_free()) {
-        submit_boundary(0);
-        ++slow_now;
-        ++sched_.pipe_prereleased;
-      }
-    }
-
-    // --- One stepped cycle (serial mirror, views for live slow state). ----
-    core_active = false;
-    if (!core_done) {
-      core_active = core_->tick_t(this);
-      if (core_->done()) {
-        core_done = true;
-        core_done_cycle_ = core_->now();
-      }
-    }
-    if (frontend_->filter().buffered() != 0) {
-      frontend_->tick_fast(fast_now_, *this, eb_view);
-    }
-    if (--until_slow == 0) {
-      if (inflight) {
-        collect_boundary();
-      } else {
-        const Cycle ev = view_slow_ev(slow_now);
-        if (ev > slow_now) {
-          ++pending_elide;
-          ++slow_now;
-          eb_view = false;
-        } else {
-          sync_boundary();
-        }
-      }
-      until_slow = ratio;
-      ++sched_.pipe_epochs;
-    }
-    ++fast_now_;
-    ++sched_.cycles_stepped;
-
-    if (core_done && frontend_->filter().buffered() == 0 && cdc.empty() &&
-        cur.drained) {
-      if (++grace > kGraceLimit) break;
-    } else {
-      grace = 0;
-    }
-    if (core_done && fast_now_ - core_done_cycle_ > kDrainBackstop) break;
-  }
-  if (!core_done) core_done_cycle_ = core_->now();
-
-  // Teardown: flush any still-pending elisions, stop the slow thread, fold
-  // the CDC back to serial storage.
-  if (inflight) collect_boundary();
-  cdc.producer_publish_epoch();
-  ch.submit(SlowCmd{pending_elide, 0, 1});
-  pending_elide = 0;
-  slow_thread.join();
-  cdc.end_pipelined();
-  pipe_view_ = nullptr;
 }
 
 void Soc::match_detections() const {

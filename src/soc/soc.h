@@ -15,12 +15,6 @@
 // cycles in which nothing can change are skipped and their per-cycle stall
 // accounting is charged in bulk. FG_CYCLE_EXACT=1 forces the stepped
 // reference loop (the differential suite compares the two).
-//
-// FG_PIPELINE=1 runs the same model on two threads: the fast domain (core +
-// frontend) and the slow domain (engines + NoC) execute concurrently,
-// exchanging CDC traffic only at epoch boundaries sized by the horizon
-// contract, bit-identical to both serial paths (see run_pipelined below and
-// docs/ARCHITECTURE.md). FG_CYCLE_EXACT takes precedence.
 #pragma once
 
 #include <array>
@@ -29,7 +23,6 @@
 #include <vector>
 
 #include "src/boom/core.h"
-#include "src/common/epoch_channel.h"
 #include "src/core/fabric.h"
 #include "src/core/frontend.h"
 #include "src/kernels/ha.h"
@@ -100,18 +93,6 @@ struct SchedStats {
   u64 bound_core = 0;
   u64 bound_slow = 0;
   u64 bound_cap = 0;
-
-  // Epoch-pipelined scheduler (FG_PIPELINE=1) barrier accounting; all zero
-  // in serial runs. Boundaries partition into prereleased (overlapped with
-  // their epoch's fast cycles), synced (waited for at the barrier), and
-  // elided (slow_ticks_skipped counts those). Spin counters measure how long
-  // each side waited at barriers — high fast-side spins mean the slow domain
-  // is the bottleneck, and vice versa.
-  u64 pipe_epochs = 0;
-  u64 pipe_prereleased = 0;
-  u64 pipe_synced = 0;
-  u64 pipe_fast_spins = 0;
-  u64 pipe_slow_spins = 0;
 
   double skipped_fraction() const {
     const u64 total = cycles_stepped + cycles_skipped;
@@ -189,39 +170,6 @@ class Soc final : public boom::CommitSink, public core::QueueStatus {
     const std::vector<ucore::Detection>& detections() const;
   };
 
-  // --- epoch-pipelined scheduler (FG_PIPELINE=1) ---------------------------
-  // The slow domain's entire fast-visible surface, frozen at a boundary. The
-  // fast thread runs each epoch against the previous boundary's view; the
-  // slow thread rebuilds it after every real slow tick. Exact, not
-  // approximate: slow state mutates only inside slow_tick, which runs only
-  // at boundaries, so between boundaries the live values ARE these.
-  struct SlowView {
-    bool engines_blocked = false;
-    bool drained = true;
-    /// Engines + mesh rest horizon (absolute slow cycle or kNoEvent),
-    /// computed one past the boundary; consumers max-clamp to "now" exactly
-    /// like the serial memo.
-    Cycle rest_horizon = kNoEvent;
-    std::array<u8, core::kMaxEngines> queue_full{};
-    std::array<u32, core::kMaxEngines> queue_free{};
-  };
-  /// One barrier command from the fast to the slow thread: charge `elide`
-  /// skipped boundaries (pure stall accounting, proven no-ops), then run
-  /// one real slow tick if `run`, then rebuild the view and acknowledge.
-  struct SlowCmd {
-    u64 elide = 0;
-    u8 run = 0;
-    u8 last = 0;
-  };
-
-  /// Two-thread run loop, bit-identical to the serial paths.
-  void run_pipelined();
-  /// Slow-domain thread body: serve SlowCmds until one is marked last.
-  void slow_worker(EpochChannel<SlowCmd, SlowView>& ch, Cycle slow_now);
-  /// Rebuild the fast-visible view after the boundary that left the slow
-  /// clock at `now_slow` (slow thread, or pre-spawn fast thread).
-  SlowView make_slow_view(Cycle now_slow);
-
   void build_engines(trace::TraceSource& src);
   void apply_heap_event(const trace::TraceInst& ti);
   void slow_tick(Cycle now_slow);
@@ -256,9 +204,6 @@ class Soc final : public boom::CommitSink, public core::QueueStatus {
   std::unique_ptr<core::NocMesh> noc_;
 
   bool engines_blocked_ = false;  // multicast head-of-line blocked last slow tick
-  // Non-null while run_pipelined is active: the QueueStatus overrides answer
-  // from this boundary view instead of the (slow-thread-owned) live engines.
-  const SlowView* pipe_view_ = nullptr;
   Cycle fast_now_ = 0;
   Cycle core_done_cycle_ = 0;
   std::unordered_map<u32, Cycle> attack_commit_;

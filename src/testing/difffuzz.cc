@@ -29,7 +29,7 @@ struct FuzzModeGuard {
 std::string repro_line(const FuzzOptions& opt, u64 seed, u64 forced_len) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "fgfuzz --seed 0x%llx --min-trace-len %llu --trace-len %llu",
+                "fgsim fuzz --seed 0x%llx --min-trace-len %llu --trace-len %llu",
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(opt.env.min_insts),
                 static_cast<unsigned long long>(opt.env.max_insts));
@@ -103,7 +103,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt, const ScenarioRunner& runner_in) {
     Scenario s = scenario_from_seed(seed, opt.env);
     if (opt.force_len != 0) s = with_trace_len(s, opt.force_len);
     if (opt.verbose) {
-      std::printf("fgfuzz seed %llu: %s\n",
+      std::printf("fgsim fuzz seed %llu: %s\n",
                   static_cast<unsigned long long>(seed),
                   scenario_summary(s).c_str());
     }

@@ -95,7 +95,7 @@ std::string check_golden(const std::string& dir, const ScenarioRunner& r) {
     const std::string path = golden_path(dir, e);
     std::ifstream in(path);
     if (!in) {
-      report += "MISSING " + path + " (run fgfuzz --update-golden)\n";
+      report += "MISSING " + path + " (run fgsim fuzz --update-golden)\n";
       continue;
     }
     std::stringstream ss;

@@ -135,7 +135,7 @@ std::vector<WorkloadProfile> build_profiles() {
      // flow so the analysis engines stay quiet). IPC ~0.05 with the detailed
      // DRAM/PTW models: nearly every cycle is provably-dead miss latency,
      // which is exactly what the wide-horizon skip paths must convert into
-     // wall-clock speedup (tools/simspeed's memstall hot loop and the
+     // wall-clock speedup (fgsim speed's memstall hot loop and the
      // stall-bound golden scenarios both draw this by name).
     WorkloadProfile p;
     p.name = "memstall";

@@ -124,11 +124,9 @@ class UCore {
   /// Stall fast-forward: charge the `n` stall cycles of slow ticks this
   /// engine provably spent stalled but was never ticked for, in one call —
   /// the event-driven scheduler's replacement for n per-cycle early-return
-  /// ticks, and the pipelined scheduler's per-boundary elision (where it
-  /// runs on the slow-domain thread, the same thread that ticks this core).
-  /// Callers must filter on `!idle() && !halted()`: an idle engine's spin
-  /// loop is frozen (no stall accrues) and a halted one accrues nothing —
-  /// charging either would diverge from the stepped reference.
+  /// ticks. Callers must filter on `!idle() && !halted()`: an idle engine's
+  /// spin loop is frozen (no stall accrues) and a halted one accrues
+  /// nothing — charging either would diverge from the stepped reference.
   void charge_skipped_stall(u64 n);
 
   const std::vector<Detection>& detections() const { return detections_; }

@@ -79,7 +79,7 @@ TEST(SocLevel, CommercialSocsUnderOnePercent) {
 }
 
 TEST(SocLevel, BoomPrototypePaysMore) {
-  const SocSpec& boom = table3_socs()[0];
+  const SocSpec boom = table3_socs()[0];  // a copy: the vector is a temporary
   EXPECT_NEAR(soc_overhead_pct(boom), 9.86, 0.1);
 }
 

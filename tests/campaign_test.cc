@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/store/faultfs.h"
+#include "src/store/result_store.h"
 
 namespace fg::api {
 namespace {
@@ -53,6 +54,8 @@ class CampaignTest : public ::testing::Test {
     cfg.backoff_ms = 1;  // keep injected-retry tests fast
     return cfg;
   }
+
+  void kill_and_resume(u32 jobs);
 
   std::string dir_;
 };
@@ -145,14 +148,20 @@ TEST_F(CampaignTest, IsolateAndInProcessAreBitIdentical) {
 // destructors, no flushes beyond what already hit the disk) resumes with
 // zero re-simulation of the published points and a bit-identical result
 // set.
-TEST_F(CampaignTest, KilledCampaignResumesBitIdenticalWithZeroReruns) {
+// Kill a 200-point campaign at point 100, then resume it. Workers that were
+// still running points below 100 when the crash landed die with it, so how
+// many points got published before the kill depends on `jobs` and timing.
+// The resume arithmetic is exact against that count, taken independently
+// from the store between the kill and the resume.
+void CampaignTest::kill_and_resume(u32 jobs) {
   ExperimentSpec spec = tiny_spec("kill200");
   std::vector<std::string> seeds;
   for (int s = 1; s <= 50; ++s) seeds.push_back(std::to_string(s));
   spec.sweep = {{"seed", seeds},
                 {"kernel", {"pmc", "asan"}},
                 {"engines", {"2", "4"}}};
-  const CampaignConfig cfg = quick_cfg("store");
+  CampaignConfig cfg = quick_cfg("store");
+  cfg.jobs = jobs;
   std::string err;
 
   CampaignRunner first(spec, cfg);
@@ -164,16 +173,31 @@ TEST_F(CampaignTest, KilledCampaignResumesBitIdenticalWithZeroReruns) {
               "injected crash at point 100");
   store::fault_clear();
 
+  // Count what the killed run published, point by point.
+  store::ResultStore audit;
+  ASSERT_TRUE(audit.open(cfg.store_dir, &err)) << err;
+  size_t published = 0;
+  std::string payload;
+  for (u32 i = 0; i < first.points().size(); ++i) {
+    if (audit.get(first.point_key(i), &payload) ==
+        store::ResultStore::GetStatus::kHit) {
+      ++published;
+    }
+  }
+  EXPECT_NE(audit.get(first.point_key(100), &payload),
+            store::ResultStore::GetStatus::kHit)
+      << "the crashed point cannot have published";
+
   CampaignRunner resumed(spec, cfg);
   size_t cache_events = 0;
   resumed.on_event([&](const CampaignRunner::Event& ev) {
     cache_events += std::string(ev.what) == "cache" ? 1 : 0;
   });
   ASSERT_TRUE(resumed.run(&err)) << err;
-  // Points 0..99 were published before the kill: all served from the store.
-  EXPECT_EQ(resumed.stats().from_store, 100u);
-  EXPECT_EQ(cache_events, 100u);
-  EXPECT_EQ(resumed.stats().executed, 100u);
+  // Every published point is served from the store; only the rest re-run.
+  EXPECT_EQ(resumed.stats().from_store, published);
+  EXPECT_EQ(cache_events, published);
+  EXPECT_EQ(resumed.stats().executed, 200u - published);
   EXPECT_EQ(resumed.stats().failed, 0u);
   // The journal replay credits the killed run's attempt on point 100.
   EXPECT_EQ(resumed.journal().points()[100].attempts, 2u);
@@ -187,6 +211,17 @@ TEST_F(CampaignTest, KilledCampaignResumesBitIdenticalWithZeroReruns) {
         << "point " << i;
   }
   for (const std::string& p : resumed.payloads()) EXPECT_FALSE(p.empty());
+}
+
+// jobs = 0: FG_JOBS, else the host's core count.
+TEST_F(CampaignTest, KilledCampaignResumesBitIdenticalWithZeroReruns) {
+  kill_and_resume(0);
+}
+
+// Pinned to 4 workers so the parallel crash window (points below 100 still
+// in flight at the kill) is exercised on every host.
+TEST_F(CampaignTest, KilledParallelCampaignResumesBitIdenticalWithZeroReruns) {
+  kill_and_resume(4);
 }
 
 TEST_F(CampaignTest, CorruptEntryIsQuarantinedAndRecomputed) {

@@ -4,17 +4,27 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "src/soc/experiment.h"
 
 namespace fg::soc {
 namespace {
 
+// gtest prints a parameter that has no operator<< as a dump of its bytes,
+// and gtest_discover_tests folds that dump into each ctest name. Implicit
+// padding would put uninitialised stack bytes there, so the registered
+// names would change from build to build. `name_tag` fills the gap
+// explicitly; its values reproduce the names these cases are registered
+// under.
 struct Scenario {
   kernels::KernelKind kind;
   trace::AttackKind attack;
+  u8 name_tag[6];
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<Scenario>,
+              "Scenario must have no padding: its bytes name the test");
 
 class Detection : public ::testing::TestWithParam<Scenario> {};
 
@@ -51,10 +61,12 @@ TEST_P(Detection, AllAttacksCaughtWithPlausibleLatency) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, Detection,
     ::testing::Values(
-        Scenario{kernels::KernelKind::kPmc, trace::AttackKind::kPcHijack, "pmc"},
-        Scenario{kernels::KernelKind::kAsan, trace::AttackKind::kHeapOob, "asan"},
+        Scenario{kernels::KernelKind::kPmc, trace::AttackKind::kPcHijack,
+                 {0x00, 0x00, 0x00, 0x00, 0x00, 0x00}, "pmc"},
+        Scenario{kernels::KernelKind::kAsan, trace::AttackKind::kHeapOob,
+                 {0x00, 0x00, 0x00, 0x00, 0x00, 0x00}, "asan"},
         Scenario{kernels::KernelKind::kUaf, trace::AttackKind::kUseAfterFree,
-                 "uaf"}),
+                 {0x01, 0x1B, 0x00, 0x00, 0x00, 0x00}, "uaf"}),
     [](const auto& info) { return info.param.name; });
 
 TEST(DetectionSs, ShadowStackCatchesCorruptedReturns) {

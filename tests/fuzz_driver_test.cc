@@ -16,7 +16,7 @@ namespace fg::fuzz {
 namespace {
 
 /// A real (simulating) fuzz pass over a handful of seeds must be clean:
-/// this is the in-tree smoke for the fgfuzz CI gate.
+/// this is the in-tree smoke for the `fgsim fuzz` CI gate.
 TEST(FuzzDriver, RealSeedsAreCleanAndReported) {
   FuzzOptions opt;
   opt.seeds = 4;

@@ -1,6 +1,6 @@
 // Golden corpus machinery: update→check round-trip is a no-op, tampering is
 // detected, missing files are named. The checked-in corpus itself is gated
-// by the fgfuzz_check_golden ctest (tools/fgfuzz --check-golden).
+// by the fgfuzz_check_golden ctest (`fgsim fuzz --check-golden`).
 #include <gtest/gtest.h>
 
 #include <filesystem>

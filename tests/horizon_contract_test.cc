@@ -300,31 +300,5 @@ TEST(HorizonContract, ScenarioSnapshotsMatchExactReference) {
   }
 }
 
-// Same closure, third scheduler: the two-thread epoch-pipelined loop must
-// land on the identical snapshots. The pipelined run consumes horizons at
-// epoch granularity (skips are only evaluated at epoch starts, slow
-// boundaries run one epoch behind the fast domain), so this is the horizon
-// contract exercised through the coarsest consumer the simulator has.
-TEST(HorizonContract, ScenarioSnapshotsMatchUnderPipeline) {
-  ExactMode guard(false);
-  struct PipelineMode {
-    explicit PipelineMode(bool on) { set_pipeline(on); }
-    ~PipelineMode() { set_pipeline(false); }
-  };
-  for (u64 seed = 201; seed <= 206; ++seed) {
-    const fuzz::Scenario s = fuzz::scenario_from_seed(seed, contract_envelope());
-    const fuzz::StatSnapshot exact =
-        fuzz::run_scenario_snapshot_in_mode(s, /*exact=*/true);
-    fuzz::StatSnapshot piped;
-    {
-      PipelineMode pipe(true);
-      piped = fuzz::run_scenario_snapshot_in_mode(s, /*exact=*/false);
-    }
-    EXPECT_TRUE(fuzz::snapshots_equal(exact, piped))
-        << fuzz::scenario_summary(s) << "\n"
-        << fuzz::snapshot_diff(exact, piped, "exact", "pipelined");
-  }
-}
-
 }  // namespace
 }  // namespace fg

@@ -1,4 +1,4 @@
-// The simspeed runs[] history loader: missing / malformed files are
+// The `fgsim speed` runs[] history loader: missing / malformed files are
 // distinguished from valid ones (the --check gate fails loudly on the
 // former), and the schema-v2 append path round-trips across "invocations".
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
-/// A minimal but realistic schema-v2 file, as simspeed writes it.
+/// A minimal but realistic schema-v2 file, as `fgsim speed` writes it.
 std::string v2_file(const std::string& runs_items) {
   return "{\n  \"schema\": \"fireguard/sim_speed/v2\",\n  \"quick\": false,\n"
          "  \"runs\": [\n    " +
@@ -87,7 +87,7 @@ TEST(RunHistory, SchemaV2AppendPathRoundTrips) {
 //
 // Schema v3 widens each run record with per-kernel speedups and a
 // skip-length histogram array. The history file is carried forward
-// text-level, so a v3 simspeed reads mixed histories: old v2 records (no
+// text-level, so a v3 `fgsim speed` reads mixed histories: old v2 records (no
 // new fields) followed by v3 records (with them). These regressions pin the
 // migration contract: records split correctly even with nested arrays,
 // fields absent from v2 records are *skipped* (not misparsed), and the
@@ -168,7 +168,7 @@ TEST(RunHistory, MixedHistoryRoundTripsThroughFileAndBack) {
 // --- v3 → v4 migration ----------------------------------------------------
 //
 // Schema v4 widens each run record with per-kernel pipeline speedups (the
-// two-thread FG_PIPELINE scheduler vs the serial event loop). Same contract
+// since-removed two-thread scheduler vs the serial event loop). Same contract
 // as v2→v3: mixed histories split cleanly, v4-only fields are skipped (not
 // misparsed) on older records, and the extraction the trajectory gate uses
 // works on every generation.
@@ -213,7 +213,7 @@ TEST(RunHistory, V4FieldsAbsentFromOlderRecordsAreSkippedNotMisparsed) {
 }
 
 TEST(RunHistory, V4TrajectoryExtractionSkipsOtherGenerations) {
-  // The simspeed --check gate walks the whole history and takes the best
+  // The `fgsim speed --check` gate walks the whole history and takes the best
   // same-mode value of a field; records predating the field contribute
   // nothing. Mirror that walk over a three-generation history.
   const std::string items =
@@ -239,7 +239,7 @@ TEST(RunHistory, StatusNamesAreStable) {
 
 // --- corrupt-history quarantine -------------------------------------------
 //
-// simspeed recovers from a malformed history by moving it aside (never
+// `fgsim speed` recovers from a malformed history by moving it aside (never
 // silently overwriting the evidence) and starting fresh; these pin the
 // quarantine helper that recovery rests on.
 

@@ -4,9 +4,7 @@
 // windows forced by tiny queues, CDC deliveries racing the memoized
 // slow-rest horizon, cap-bounded windows, and the 2M-cycle drain backstop.
 // Each scenario runs both modes and diffs every observable (plus the
-// accounting identity stepped + skipped == reference cycles). The nastiest
-// cases also run under the FG_PIPELINE two-thread scheduler, which must hit
-// the same bits with its epoch-granular view of the slow domain.
+// accounting identity stepped + skipped == reference cycles).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,18 +56,6 @@ void expect_identical(const RunResult& exact, const RunResult& event,
 RunResult run_mode(bool exact, const trace::WorkloadConfig& w,
                    const SocConfig& sc) {
   ExactMode mode(exact);
-  return run_fireguard(w, sc);
-}
-
-/// Restores the pipeline flag even if an assertion fails mid-test.
-struct PipelineMode {
-  explicit PipelineMode(bool on) { set_pipeline(on); }
-  ~PipelineMode() { set_pipeline(false); }
-};
-
-RunResult run_pipelined(const trace::WorkloadConfig& w, const SocConfig& sc) {
-  ExactMode mode(false);  // cycle_exact wins over pipeline; force it off
-  PipelineMode pipe(true);
   return run_fireguard(w, sc);
 }
 
@@ -214,27 +200,6 @@ TEST(SkipStress, CdcDeliveryRacesMemoizedHorizon) {
   EXPECT_GT(event.sched.slow_ticks_skipped, 0u);
 }
 
-// Pipelined variant of the same race: under FG_PIPELINE the fast thread
-// sees the slow domain only through the boundary-frozen SlowView, and CDC
-// settle times reach the slow worker one epoch late by construction. A
-// settle landing inside a drain window must STILL be delivered on its exact
-// slow boundary — the view's rest horizon is clamped against the producer's
-// own next-ready witness, so the window closes in time.
-TEST(SkipStress, CdcDeliveryRacesMemoizedHorizonPipelined) {
-  SocConfig sc = memstall_soc();
-  sc.frontend.cdc_depth = 4;
-  sc.kernels = {deploy(kernels::KernelKind::kPmc, 4)};
-  const trace::WorkloadConfig wl = memstall_workload(12'000);
-  const RunResult exact = run_mode(true, wl, sc);
-  const RunResult piped = run_pipelined(wl, sc);
-  expect_identical(exact, piped, "cdc_race_pipelined");
-  // The pipelined scheduler (not a silent serial fallback) ran, and its
-  // drain windows engaged across epoch boundaries.
-  EXPECT_GT(piped.sched.pipe_epochs, 0u);
-  EXPECT_GT(piped.sched.drain_windows, 0u);
-  EXPECT_GT(piped.sched.slow_ticks_skipped, 0u);
-}
-
 // --- Cap-bounded windows -------------------------------------------------
 //
 // max_fast_cycles caps every window; odd values land the cap mid-window and
@@ -274,24 +239,6 @@ TEST(SkipStress, DrainBackstopBitIdentical) {
   // Proof the backstop (not normal drain) ended the run: the simulated
   // length exceeds the 2M-cycle drain allowance.
   EXPECT_GT(event.sched.cycles_stepped + event.sched.cycles_skipped,
-            2'000'000u);
-}
-
-// Pipelined variant: the backstop cut must land on the same cycle even
-// though the pipelined loop only breaks at epoch granularity (prerelease is
-// gated on break_free(), which reserves the backstop window, and the final
-// partial epoch is stepped serially against the last collected view).
-TEST(SkipStress, DrainBackstopBitIdenticalPipelined) {
-  SocConfig sc = table2_soc();
-  sc.kernels = {deploy(kernels::KernelKind::kShadowStack, 2,
-                       kernels::ProgModel::kHybrid, /*use_ha=*/false,
-                       core::SchedPolicy::kRoundRobin)};
-  const trace::WorkloadConfig wl = paper_workload("ferret", 3'000);
-  const RunResult exact = run_mode(true, wl, sc);
-  const RunResult piped = run_pipelined(wl, sc);
-  expect_identical(exact, piped, "backstop_pipelined");
-  EXPECT_GT(piped.sched.pipe_epochs, 0u);
-  EXPECT_GT(piped.sched.cycles_stepped + piped.sched.cycles_skipped,
             2'000'000u);
 }
 

@@ -2,9 +2,7 @@
 //
 // One binary, one surface: every subcommand consumes the declarative
 // ExperimentSpec (src/api/spec.h) — from a --spec file, --set overrides, or
-// legacy flags — and drives the SimSession facade. The historical binaries
-// (fireguard-sim, simspeed, fgfuzz) are thin deprecated wrappers over these
-// same entry points.
+// legacy flags — and drives the SimSession facade.
 //
 // Exit-code contract (uniform across subcommands, stable for scripts/CI):
 //   0  success
@@ -28,7 +26,7 @@ inline constexpr int kExitUsage = 2;
 inline constexpr int kExitIo = 3;
 
 /// `fgsim run`: one experiment, key-value summary on stdout.
-/// Accepts --spec/--set plus the legacy fireguard-sim flag set.
+/// Accepts --spec/--set plus the legacy flag set.
 int run_main(int argc, char** argv);
 
 /// `fgsim sweep`: expand a spec's sweep axes and run the grid in parallel.
@@ -43,10 +41,10 @@ int campaign_main(int argc, char** argv);
 int spec_main(int argc, char** argv);
 
 /// `fgsim fuzz`: the differential scenario fuzzer + golden-corpus
-/// maintainer (the fgfuzz CLI).
+/// maintainer.
 int fuzz_main(int argc, char** argv);
 
-/// `fgsim speed`: the simulator-speed tracker (the simspeed CLI).
+/// `fgsim speed`: the simulator-speed tracker.
 int speed_main(int argc, char** argv);
 
 /// `fgsim serve`: the batch experiment daemon — durable store + Unix socket

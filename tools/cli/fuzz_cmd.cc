@@ -1,15 +1,15 @@
 // Differential scenario fuzzer + golden-corpus maintainer.
 //
 // Modes (combinable; golden modes run after the fuzz pass when both given):
-//   fgfuzz --seeds N            run N seeded scenarios, each simulated under
+//   fgsim fuzz --seeds N        run N seeded scenarios, each simulated under
 //                               the cycle-exact reference AND the default
 //                               event-driven scheduler; the two stat
 //                               snapshots must be bit-identical and no
 //                               FG_INVARIANT may fire (Debug builds).
-//   fgfuzz --seed S             run exactly one seed (verbose).
-//   fgfuzz --update-golden      rewrite tests/golden/*.json from the fixed
+//   fgsim fuzz --seed S         run exactly one seed (verbose).
+//   fgsim fuzz --update-golden  rewrite tests/golden/*.json from the fixed
 //                               corpus seeds (review + commit the diff).
-//   fgfuzz --check-golden       re-simulate the corpus and diff against the
+//   fgsim fuzz --check-golden   re-simulate the corpus and diff against the
 //                               checked-in snapshots.
 //
 // Failure handling: a mismatching seed is shrunk by trace-length bisection
@@ -65,7 +65,7 @@ int fuzz_main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "fgfuzz: %s needs a value\n", flag);
+        std::fprintf(stderr, "fgsim fuzz: %s needs a value\n", flag);
         std::exit(2);
       }
       return argv[++i];
@@ -102,7 +102,7 @@ int fuzz_main(int argc, char** argv) {
       opt.verbose = true;
     } else {
       std::fprintf(stderr,
-                   "usage: fgfuzz [--seeds N] [--seed S] [--seed-base B] "
+                   "usage: fgsim fuzz [--seeds N] [--seed S] [--seed-base B] "
                    "[--trace-len N] [--min-trace-len N] [--force-len N] "
                    "[--no-shrink] [--artifacts DIR] [--golden-dir DIR] "
                    "[--update-golden] [--check-golden] [--check] [-v]\n");
@@ -123,12 +123,12 @@ int fuzz_main(int argc, char** argv) {
   if (run_fuzz_pass) {
     if (!fg::inv::compiled_in()) {
       std::printf(
-          "fgfuzz: invariants compiled out (Release) — differential "
+          "fgsim fuzz: invariants compiled out (Release) — differential "
           "snapshot check only\n");
     }
     const fuzz::FuzzReport report = fuzz::run_fuzz(opt);
     std::printf(
-        "fgfuzz: %llu seeds (base %llu, trace %llu..%llu): "
+        "fgsim fuzz: %llu seeds (base %llu, trace %llu..%llu): "
         "%llu event-vs-exact mismatches, %llu invariant violations\n",
         static_cast<unsigned long long>(report.seeds_run),
         static_cast<unsigned long long>(opt.seed_base),
@@ -157,10 +157,10 @@ int fuzz_main(int argc, char** argv) {
   if (update_golden) {
     const std::string err = fuzz::update_golden(golden_dir);
     if (!err.empty()) {
-      std::fprintf(stderr, "fgfuzz --update-golden: %s\n", err.c_str());
+      std::fprintf(stderr, "fgsim fuzz --update-golden: %s\n", err.c_str());
       ++failures;
     } else {
-      std::printf("fgfuzz: wrote %zu golden snapshots to %s\n",
+      std::printf("fgsim fuzz: wrote %zu golden snapshots to %s\n",
                   fuzz::golden_entries().size(), golden_dir.c_str());
     }
   }
@@ -168,10 +168,10 @@ int fuzz_main(int argc, char** argv) {
   if (check_golden) {
     const std::string report = fuzz::check_golden(golden_dir);
     if (!report.empty()) {
-      std::printf("fgfuzz --check-golden FAILURES:\n%s", report.c_str());
+      std::printf("fgsim fuzz --check-golden FAILURES:\n%s", report.c_str());
       ++failures;
     } else {
-      std::printf("fgfuzz: golden corpus OK (%zu snapshots in %s)\n",
+      std::printf("fgsim fuzz: golden corpus OK (%zu snapshots in %s)\n",
                   fuzz::golden_entries().size(), golden_dir.c_str());
     }
   }

@@ -1,5 +1,5 @@
 // `fgsim run`: run one declarative experiment and print a machine-readable
-// "key value" summary (the historical fireguard-sim output format).
+// "key value" summary (the historical CLI output format).
 //
 //   $ fgsim run --spec examples/table2.json
 //   $ fgsim run --spec examples/table2.json --set trace_len=20000 --json out.json
@@ -35,10 +35,7 @@ void usage() {
       "  --json PATH         also write the structured outcome "
       "(metrics + snapshot) as JSON\n"
       "  --no-baseline       skip the unmonitored baseline run / slowdown\n"
-      "  --pipeline          two-thread epoch-pipelined scheduler "
-      "(bit-identical; also FG_PIPELINE=1)\n"
-      "  --serial            force the serial event scheduler\n"
-      "Legacy flags (the deprecated fireguard-sim surface):\n"
+      "Legacy flags (mapped onto the spec knobs):\n"
       "  --workload=NAME     parsec-like profile (blackscholes..x264)\n"
       "  --kernel=K          pmc | shadow | asan | uaf\n"
       "  --software=S        shadow_llvm | asan_aarch64 | asan_x86 | dangsan\n"
@@ -84,7 +81,6 @@ int run_main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> sets;
   std::string json_out;
   bool with_baseline = true;
-  api::SessionConfig::Sched sched = api::SessionConfig::Sched::kInherit;
   u32 legacy_attacks = 0;
 
   for (int i = 0; i < argc; ++i) {
@@ -129,12 +125,8 @@ int run_main(int argc, char** argv) {
       json_out = v;
     } else if (arg == "--no-baseline") {
       with_baseline = false;
-    } else if (arg == "--pipeline") {
-      sched = api::SessionConfig::Sched::kPipelined;
-    } else if (arg == "--serial") {
-      sched = api::SessionConfig::Sched::kSerial;
     }
-    // --- legacy fireguard-sim flags, mapped onto the spec knobs ---
+    // --- legacy flags, mapped onto the spec knobs ---
     else if (eat("--workload=", &v)) sets.emplace_back("workload", v);
     else if (eat("--kernel=", &v)) sets.emplace_back("kernel", v);
     else if (eat("--software=", &v)) sets.emplace_back("scheme", v);
@@ -166,7 +158,7 @@ int run_main(int argc, char** argv) {
     }
   }
   // Legacy --attacks=N: N attacks of the kind the deployed kernel detects.
-  // FireGuard mode only, exactly like the historical fireguard-sim (its
+  // FireGuard mode only, exactly like the historical CLI (its
   // --software branch never consumed --attacks).
   if (legacy_attacks > 0 && spec.mode == api::Mode::kFireguard) {
     const kernels::KernelKind kind = spec.soc.kernels.empty()
@@ -183,11 +175,10 @@ int run_main(int argc, char** argv) {
   api::SessionConfig cfg;
   cfg.jobs = 1;
   cfg.with_baseline = with_baseline && spec.mode != api::Mode::kBaseline;
-  cfg.sched = sched;
   api::SimSession session(spec, cfg);
   const api::RunOutcome& r = session.run();
 
-  // The historical fireguard-sim "key value" summary.
+  // The historical "key value" summary.
   std::printf("workload %s\n", spec.workload.profile.name.c_str());
   std::printf("trace_len %llu\n",
               static_cast<unsigned long long>(spec.workload.n_insts));
@@ -222,7 +213,7 @@ int run_main(int argc, char** argv) {
               static_cast<unsigned long long>(r.result.cycles));
   if (cfg.with_baseline) std::printf("slowdown %.4f\n", r.slowdown);
   std::printf("ipc %.3f\n", r.result.ipc);
-  // Unconditional like the historical fireguard-sim: software/baseline runs
+  // Unconditional like the historical CLI: software/baseline runs
   // print zeros, and output-parsing scripts keep finding every key.
   std::printf("packets %llu\n",
               static_cast<unsigned long long>(r.result.packets));

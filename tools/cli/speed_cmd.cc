@@ -7,11 +7,9 @@
 //     heavy (ASan) kernel deployment on blackscholes, plus the
 //     memory/stall-bound memstall config (detailed DRAM + PTW). Each config
 //     also runs under the stepped FG_CYCLE_EXACT reference loop (the ratio
-//     is the event-driven scheduler's speedup) and under the two-thread
-//     FG_PIPELINE epoch-pipelined scheduler (the ratio against the serial
-//     event loop is pipeline_speedup). The three legs are timed best-of-3
-//     INTERLEAVED — each round times every leg once — so one cold or
-//     contended stretch cannot poison a single mode's trajectory; all
+//     is the event-driven scheduler's speedup). The two legs are timed
+//     best-of-3 INTERLEAVED — each round times both legs once — so one cold
+//     or contended stretch cannot poison a single mode's trajectory; both
 //     legs' RunResults must be bit-identical (a mismatch fails the tool).
 //  2. The Figure-10 sweep grid executed serially (jobs=1) and with FG_JOBS
 //     workers: wall clock for each, honest parallel speedup and efficiency.
@@ -26,7 +24,7 @@
 // record (carrying forward the records already in the file), so the
 // checked-in file tracks the per-PR perf trajectory.
 //
-// Usage: simspeed [--quick] [--jobs=N] [--trace-len=N] [--out=PATH] [--check]
+// Usage: fgsim speed [--quick] [--jobs=N] [--trace-len=N] [--out=PATH] [--check]
 //   --quick      small trace (20k insts) and the PMC+ASan subset of the
 //                fig10 grid — for CI and smoke runs
 //   --jobs=N     parallel worker count (default: FG_JOBS env, else hw)
@@ -75,12 +73,8 @@ struct HotLoopSpeed {
   double wall_ms = 0.0;
   double exact_cycles_per_sec = 0.0;  // FG_CYCLE_EXACT reference loop
   double event_speedup = 0.0;         // event-driven vs stepped
-  double pipeline_cycles_per_sec = 0.0;  // FG_PIPELINE two-thread loop
-  double pipeline_speedup = 0.0;         // pipelined vs serial event-driven
   bool exact_identical = true;
-  bool pipeline_identical = true;
   soc::SchedStats sched{};
-  soc::SchedStats pipe_sched{};
 };
 
 bool run_results_identical(const soc::RunResult& a, const soc::RunResult& b) {
@@ -116,38 +110,30 @@ HotLoopSpeed measure_hot_loop(const char* name, const trace::WorkloadConfig& wl,
   HotLoopSpeed s;
   s.name = name;
 
-  // Best-of-3 with the three scheduler modes INTERLEAVED: each round times
-  // serial, exact, and pipelined once, and each leg keeps its minimum. A
-  // contended or cold stretch of wall clock hits every leg of that round
-  // equally instead of poisoning one mode's entire timing block — which is
-  // exactly how a single bad run once recorded a 2.67x "speedup" in the
-  // checked-in trajectory. Mode flags are restored afterwards (a user-set
-  // FG_CYCLE_EXACT=1 / FG_PIPELINE=1 must still govern the sweep).
+  // Best-of-3 with both scheduler modes INTERLEAVED: each round times
+  // serial and exact once, and each leg keeps its minimum. A contended or
+  // cold stretch of wall clock hits both legs of that round equally instead
+  // of poisoning one mode's entire timing block — which is exactly how a
+  // single bad run once recorded a 2.67x "speedup" in the checked-in
+  // trajectory. The mode flag is restored afterwards (a user-set
+  // FG_CYCLE_EXACT=1 must still govern the sweep).
   constexpr int kRounds = 3;
   const bool entry_mode = cycle_exact();
-  const bool entry_pipe = pipeline_enabled();
-  soc::RunResult r, rx, rp;
-  double exact_ms = 1e300, pipe_ms = 1e300;
+  soc::RunResult r, rx;
+  double exact_ms = 1e300;
   s.wall_ms = 1e300;
   for (int round = 0; round < kRounds; ++round) {
     set_cycle_exact(false);
-    set_pipeline(false);
     s.wall_ms = std::min(s.wall_ms, timed_run(wl, sc, &r));
     set_cycle_exact(true);
     exact_ms = std::min(exact_ms, timed_run(wl, sc, &rx));
-    set_cycle_exact(false);
-    set_pipeline(true);
-    pipe_ms = std::min(pipe_ms, timed_run(wl, sc, &rp));
     // Bit-identity is checked every round, not just once: a mode that is
     // only intermittently divergent must still fail the tool.
     if (!run_results_identical(r, rx)) s.exact_identical = false;
-    if (!run_results_identical(r, rp)) s.pipeline_identical = false;
   }
   set_cycle_exact(entry_mode);
-  set_pipeline(entry_pipe);
 
   s.sched = r.sched;
-  s.pipe_sched = rp.sched;
   if (s.wall_ms > 0.0) {
     s.sim_cycles_per_sec = static_cast<double>(r.cycles) / (s.wall_ms / 1000.0);
     s.insts_per_sec = static_cast<double>(r.committed) / (s.wall_ms / 1000.0);
@@ -156,11 +142,6 @@ HotLoopSpeed measure_hot_loop(const char* name, const trace::WorkloadConfig& wl,
     s.exact_cycles_per_sec =
         static_cast<double>(rx.cycles) / (exact_ms / 1000.0);
     s.event_speedup = exact_ms / s.wall_ms;
-  }
-  if (pipe_ms > 0.0) {
-    s.pipeline_cycles_per_sec =
-        static_cast<double>(rp.cycles) / (pipe_ms / 1000.0);
-    s.pipeline_speedup = s.wall_ms / pipe_ms;
   }
   return s;
 }
@@ -250,7 +231,7 @@ int speed_main(int argc, char** argv) {
       out_path = argv[i] + 6;
     } else {
       std::fprintf(stderr,
-                   "usage: simspeed [--quick] [--jobs=N] [--trace-len=N] "
+                   "usage: fgsim speed [--quick] [--jobs=N] [--trace-len=N] "
                    "[--out=PATH] [--check]\n");
       return 2;
     }
@@ -297,7 +278,7 @@ int speed_main(int argc, char** argv) {
   }
 
   const u32 hw = std::max<u32>(1, std::thread::hardware_concurrency());
-  std::printf("simspeed: trace_len=%llu jobs=%u (hw %u)%s\n",
+  std::printf("fgsim speed: trace_len=%llu jobs=%u (hw %u)%s\n",
               static_cast<unsigned long long>(trace_len), jobs, hw,
               quick ? " (quick)" : "");
 
@@ -331,21 +312,8 @@ int speed_main(int argc, char** argv) {
         s.name.c_str(), s.sim_cycles_per_sec / 1e6, s.wall_ms,
         s.exact_cycles_per_sec / 1e6, s.event_speedup,
         s.exact_identical ? "" : "EXACT-MISMATCH");
-    const soc::SchedStats& ps = s.pipe_sched;
-    std::printf(
-        "      pipelined     : %8.2f M sim-cycles/s (pipeline speedup "
-        "%.2fx), %llu epochs (%llu prereleased / %llu synced), spins "
-        "fast %llu slow %llu %s\n",
-        s.pipeline_cycles_per_sec / 1e6, s.pipeline_speedup,
-        static_cast<unsigned long long>(ps.pipe_epochs),
-        static_cast<unsigned long long>(ps.pipe_prereleased),
-        static_cast<unsigned long long>(ps.pipe_synced),
-        static_cast<unsigned long long>(ps.pipe_fast_spins),
-        static_cast<unsigned long long>(ps.pipe_slow_spins),
-        s.pipeline_identical ? "" : "PIPELINE-MISMATCH");
     print_sched_report(s.name.c_str(), s.sched);
     if (!s.exact_identical) ++mismatches;
-    if (!s.pipeline_identical) ++mismatches;
   }
 
   // 2) Fig. 10 sweep, serial then parallel.
@@ -386,7 +354,7 @@ int speed_main(int argc, char** argv) {
     }
   }
   std::printf("bit-identity audit  : %u mismatches over %zu points "
-              "(parallel-vs-serial, event-vs-exact, pipelined-vs-serial)\n",
+              "(parallel-vs-serial, event-vs-exact)\n",
               mismatches, parallel.n_points());
 
   // Aggregate sweep-wide scheduler accounting.
@@ -446,7 +414,7 @@ int speed_main(int argc, char** argv) {
   }
   std::string doc;
   appendf(&doc, "{\n");
-  appendf(&doc, "  \"schema\": \"fireguard/sim_speed/v4\",\n");
+  appendf(&doc, "  \"schema\": \"fireguard/sim_speed/v5\",\n");
   appendf(&doc, "  \"quick\": %s,\n", quick ? "true" : "false");
   appendf(&doc, "  \"trace_len\": %llu,\n",
                static_cast<unsigned long long>(trace_len));
@@ -460,16 +428,9 @@ int speed_main(int argc, char** argv) {
         "    {\"config\": \"%s\", \"sim_cycles_per_sec\": %.0f, "
         "\"insts_per_sec\": %.0f, \"wall_ms\": %.2f, "
         "\"exact_sim_cycles_per_sec\": %.0f, \"event_speedup\": %.3f, "
-        "\"pipeline_sim_cycles_per_sec\": %.0f, "
-        "\"pipeline_speedup\": %.3f, \"pipe_epochs\": %llu, "
-        "\"pipe_prereleased\": %llu, \"pipe_synced\": %llu, "
         "\"cycles_skipped_pct\": %.2f, \"skips\": %llu}%s\n",
         hot[i].name.c_str(), hot[i].sim_cycles_per_sec, hot[i].insts_per_sec,
         hot[i].wall_ms, hot[i].exact_cycles_per_sec, hot[i].event_speedup,
-        hot[i].pipeline_cycles_per_sec, hot[i].pipeline_speedup,
-        static_cast<unsigned long long>(hot[i].pipe_sched.pipe_epochs),
-        static_cast<unsigned long long>(hot[i].pipe_sched.pipe_prereleased),
-        static_cast<unsigned long long>(hot[i].pipe_sched.pipe_synced),
         100.0 * s.skipped_fraction(), static_cast<unsigned long long>(s.skips),
         i + 1 < hot.size() ? "," : "");
   }
@@ -489,11 +450,9 @@ int speed_main(int argc, char** argv) {
   appendf(&doc, "  },\n");
   // The append goes through the same helper the regression tests exercise
   // (src/common/run_history.h), so the tested path IS the production path.
-  // Schema v4 record: v3 fields plus per-kernel pipeline speedups (the
-  // two-thread epoch-pipelined scheduler vs the serial event loop). Old
-  // v2/v3 records in the carried-forward history stay untouched
-  // (text-level append); readers skip fields a record predates
-  // (run_record_number).
+  // Schema v5 record (v3's field set). Old v2–v4 records in the
+  // carried-forward history stay untouched (text-level append); readers
+  // skip fields a record lacks (run_record_number).
   std::array<u64, 12> hist_sum{};
   for (const HotLoopSpeed& s : hot) {
     for (size_t b = 0; b < hist_sum.size(); ++b) {
@@ -513,16 +472,13 @@ int speed_main(int argc, char** argv) {
       "\"pmc_cycles_per_sec\": %.0f, \"asan_cycles_per_sec\": %.0f, "
       "\"memstall_cycles_per_sec\": %.0f, "
       "\"event_speedup_pmc\": %.3f, \"event_speedup_asan\": %.3f, "
-      "\"event_speedup_memstall\": %.3f, "
-      "\"pipeline_speedup_pmc\": %.3f, \"pipeline_speedup_asan\": %.3f, "
-      "\"pipeline_speedup_memstall\": %.3f, \"skip_len_hist\": %s, "
+      "\"event_speedup_memstall\": %.3f, \"skip_len_hist\": %s, "
       "\"sweep_speedup\": %.3f, \"bit_identical\": %s}",
       stamp, quick ? "true" : "false",
       static_cast<unsigned long long>(trace_len),
       hot[0].sim_cycles_per_sec, hot[1].sim_cycles_per_sec,
       hot[2].sim_cycles_per_sec, hot[0].event_speedup, hot[1].event_speedup,
-      hot[2].event_speedup, hot[0].pipeline_speedup, hot[1].pipeline_speedup,
-      hot[2].pipeline_speedup, hist_json.c_str(), speedup,
+      hot[2].event_speedup, hist_json.c_str(), speedup,
       bit_identical ? "true" : "false");
   appendf(&doc, "  \"runs\": [\n    %s\n  ]\n",
                append_run_record(history, record).c_str());

@@ -19,11 +19,6 @@
 //
 // Exit codes (see tools/cli/cli.h): 0 ok, 1 experiment failure, 2 usage,
 // 3 I/O.
-//
-// The historical binaries remain as deprecated aliases:
-//   fireguard-sim == fgsim run   (legacy flags accepted by both)
-//   fgfuzz        == fgsim fuzz
-//   simspeed      == fgsim speed
 #include <cstdio>
 #include <cstring>
 
