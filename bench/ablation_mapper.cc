@@ -12,9 +12,9 @@
 namespace fgbench {
 namespace {
 
-void report_mapper_stall(benchmark::State& st, const soc::PointResult& r) {
+void report_mapper_stall(benchmark::State& st, const api::RunOutcome& r) {
   st.counters["mapper_stall"] =
-      r.run.stall_fractions[static_cast<size_t>(core::StallCause::kMapper)];
+      r.result.stall_fractions[static_cast<size_t>(core::StallCause::kMapper)];
 }
 
 void register_all() {

@@ -14,8 +14,8 @@
 namespace fgbench {
 namespace {
 
-void report_base_ipc(benchmark::State& st, const soc::PointResult& r) {
-  st.counters["base_ipc"] = static_cast<double>(r.run.committed) /
+void report_base_ipc(benchmark::State& st, const api::RunOutcome& r) {
+  st.counters["base_ipc"] = static_cast<double>(r.result.committed) /
                             static_cast<double>(std::max<fg::Cycle>(
                                 1, r.baseline_cycles));
 }

@@ -8,9 +8,9 @@
 namespace fgbench {
 namespace {
 
-void report_detections(benchmark::State& st, const soc::PointResult& r) {
-  st.counters["detected"] = static_cast<double>(r.run.detections.size());
-  st.counters["attacks"] = static_cast<double>(r.run.planned_attacks);
+void report_detections(benchmark::State& st, const api::RunOutcome& r) {
+  st.counters["detected"] = static_cast<double>(r.result.detections.size());
+  st.counters["attacks"] = static_cast<double>(r.result.planned_attacks);
 }
 
 void register_all() {

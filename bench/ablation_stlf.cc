@@ -13,7 +13,7 @@
 namespace fgbench {
 namespace {
 
-void report_base_cycles(benchmark::State& st, const soc::PointResult& r) {
+void report_base_cycles(benchmark::State& st, const api::RunOutcome& r) {
   st.counters["base_cycles"] = static_cast<double>(r.baseline_cycles);
 }
 

@@ -1,15 +1,15 @@
 // Shared scaffolding for the paper-reproduction benchmarks. Each bench
 // binary regenerates one table or figure: it registers the relevant
-// (workload × SoC-config) simulation points with the shared SweepRunner,
-// which executes them across FG_JOBS worker threads; google-benchmark then
-// reports each point's precomputed result (counters + the point's own wall
-// clock via manual time), and the summary prints the geomean slowdowns the
-// way the figures report them, plus sweep wall clock and baseline-cache
-// hit/miss counters.
+// (workload × SoC-config) simulation points here, and sweep_main runs the
+// selected ones as one api::SimSession across FG_JOBS worker threads;
+// google-benchmark then reports each point's precomputed result (counters +
+// the point's own wall clock via manual time), and the summary prints the
+// geomean slowdowns the way the figures report them, plus sweep wall clock
+// and baseline-cache hit/miss counters.
 //
 // Results are independent of FG_JOBS: every point is a fully deterministic,
-// self-contained simulation, and the runner returns results in registration
-// order (see src/soc/sweep.h).
+// self-contained simulation, and the session returns results in point
+// order (see src/api/session.h).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -18,15 +18,16 @@
 #include <cctype>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <regex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/api/spec.h"
+#include "src/api/session.h"
 #include "src/common/stats.h"
+#include "src/common/thread_pool.h"
 #include "src/soc/figures.h"
-#include "src/soc/sweep.h"
 
 namespace fgbench {
 
@@ -36,12 +37,18 @@ inline const std::vector<std::string>& workloads() {
   return soc::paper_workloads();
 }
 
-/// The one sweep runner shared by every point of this bench binary. Its
-/// BaselineCache replaces the old per-binary singleton: one mutex-guarded
-/// cache, per-key once-semantics under concurrency.
-inline soc::SweepRunner& sweep() {
-  static soc::SweepRunner runner;
-  return runner;
+/// Every point this bench binary registered, in registration order, with
+/// its summary series ("" = not summarized) and its result slot (executed
+/// == false unless sweep_main selected and ran it).
+struct Registry {
+  std::vector<api::GridPoint> points;
+  std::vector<std::string> series;
+  std::vector<api::RunOutcome> results;
+};
+
+inline Registry& registry() {
+  static Registry reg;
+  return reg;
 }
 
 inline trace::WorkloadConfig make_wl(
@@ -67,61 +74,117 @@ inline api::ExperimentSpec make_spec(
 
 /// Extra per-point reporting hook: fill benchmark counters from the result.
 using Reporter =
-    std::function<void(benchmark::State&, const soc::PointResult&)>;
+    std::function<void(benchmark::State&, const api::RunOutcome&)>;
 
-/// Registers `p` — with `p.name` / `p.series` already set — with the shared
-/// sweep AND a google-benchmark entry that reports its (precomputed)
-/// result. The benchmark's reported time is the point's own wall clock from
-/// the parallel run.
-inline void register_point(soc::SweepPoint p, Reporter extra = {}) {
-  const bool want_slowdown = p.want_slowdown;
-  const u32 idx = sweep().add(std::move(p));
+/// Registers the declarative ExperimentSpec, named `name`, as one point of
+/// this binary (serializable with api::spec_to_json, runnable standalone
+/// with `fgsim run`) AND a google-benchmark entry that reports its
+/// (precomputed) result. The benchmark's reported time is the point's own
+/// wall clock from the parallel run; the slowdown counter appears whenever
+/// the baseline ran.
+inline void register_spec(std::string name, std::string series,
+                          api::ExperimentSpec spec, Reporter extra = {}) {
+  Registry& reg = registry();
+  const size_t idx = reg.points.size();
   benchmark::RegisterBenchmark(
-      sweep().point(idx).name.c_str(),
-      [idx, want_slowdown, extra](benchmark::State& st) {
-        const soc::PointResult& r = sweep().result(idx);
+      name.c_str(),
+      [idx, extra](benchmark::State& st) {
+        const api::RunOutcome& r = registry().results[idx];
         for (auto _ : st) {
           st.SetIterationTime(r.wall_ms / 1000.0);
-          benchmark::DoNotOptimize(r.run.cycles);
+          benchmark::DoNotOptimize(r.result.cycles);
         }
-        if (want_slowdown) st.counters["slowdown"] = r.slowdown;
+        if (r.baseline_cycles > 0) st.counters["slowdown"] = r.slowdown;
         if (extra) extra(st, r);
       })
       ->Iterations(1)
       ->UseManualTime()
       ->Unit(benchmark::kMillisecond);
+  spec.name = name;
+  reg.points.push_back(api::GridPoint{std::move(name), std::move(spec)});
+  reg.series.push_back(std::move(series));
+  reg.results.emplace_back();
 }
 
-inline void register_point(std::string name, std::string series,
-                           soc::SweepPoint p, Reporter extra = {}) {
-  p.name = std::move(name);
-  p.series = std::move(series);
-  register_point(std::move(p), std::move(extra));
+/// Indices of the registered points --benchmark_filter selects — same
+/// partial-match semantics and the same POSIX-extended grammar
+/// google-benchmark compiles the filter with (std::regex_constants::extended
+/// in its re.h), including the leading '-' negation. On a regex std::regex
+/// rejects, every point is selected — a filtered-out benchmark then merely
+/// ignores its result.
+inline std::vector<u32> select_points(std::string filter) {
+  std::function<bool(const std::string&)> keep;
+  if (!filter.empty() && filter != "all") {
+    bool negate = false;
+    if (filter[0] == '-') {
+      negate = true;
+      filter.erase(0, 1);
+    }
+    try {
+      const std::regex re(filter, std::regex_constants::extended);
+      keep = [re, negate](const std::string& name) {
+        // google-benchmark matches against the *decorated* name every
+        // register_spec entry gets (->Iterations(1)->UseManualTime());
+        // match the same string or anchored filters would diverge.
+        return std::regex_search(name + "/iterations:1/manual_time", re) !=
+               negate;
+      };
+    } catch (const std::regex_error&) {
+    }
+  }
+  const std::vector<api::GridPoint>& points = registry().points;
+  std::vector<u32> chosen;
+  for (u32 i = 0; i < points.size(); ++i) {
+    if (!keep || keep(points[i].name)) chosen.push_back(i);
+  }
+  return chosen;
 }
 
-/// Spec-path registration: the declarative ExperimentSpec is converted to a
-/// SweepRunner point via api::to_sweep_point — identical simulation inputs,
-/// one canonical description (serializable with api::spec_to_json, runnable
-/// standalone with `fgsim run`).
-inline void register_spec(std::string name, std::string series,
-                          const api::ExperimentSpec& spec, Reporter extra = {},
-                          bool want_slowdown = true) {
-  soc::SweepPoint p = api::to_sweep_point(spec);
-  p.want_slowdown = want_slowdown;
-  register_point(std::move(name), std::move(series), std::move(p),
-                 std::move(extra));
+/// Prints per-series geomean slowdowns plus the sweep wall clock, the
+/// parallel speedup vs. the per-point sum, and baseline-cache hit/miss
+/// counters.
+inline void print_summary(const char* title, api::SimSession& session,
+                          u32 jobs) {
+  const Registry& reg = registry();
+  std::printf("\n=== %s: geomean slowdowns ===\n", title);
+  std::map<std::string, std::vector<double>> by_series;
+  double serial_ms = 0.0;
+  for (size_t i = 0; i < reg.points.size(); ++i) {
+    const api::RunOutcome& r = reg.results[i];
+    serial_ms += r.wall_ms;
+    if (!r.executed || reg.series[i].empty() || r.baseline_cycles == 0) {
+      continue;
+    }
+    by_series[reg.series[i]].push_back(r.slowdown);
+  }
+  for (const auto& [series, values] : by_series) {
+    std::printf("  %-36s %6.3f  (n=%zu)\n", series.c_str(), geomean(values),
+                values.size());
+  }
+  const double wall_ms = session.wall_ms();
+  std::printf(
+      "sweep: %zu/%zu points on %u jobs (%u workers), wall %.2f s "
+      "(serial-equivalent %.2f s, est. speedup %.2fx)\n",
+      session.n_points(), reg.points.size(), jobs, session.workers(),
+      wall_ms / 1000.0, serial_ms / 1000.0,
+      wall_ms > 0.0 ? serial_ms / wall_ms : 0.0);
+  const soc::BaselineCache& cache = session.baseline_cache();
+  std::printf(
+      "baseline cache: %llu hits, %llu misses, %llu in-flight waits\n",
+      static_cast<unsigned long long>(cache.hits()),
+      static_cast<unsigned long long>(cache.misses()),
+      static_cast<unsigned long long>(cache.inflight_waits()));
 }
 
-/// Standard bench main: run the sweep in parallel, then let google-benchmark
-/// report the per-point results, then print the summary. Google-benchmark's
-/// selection flags are honored before any simulation runs:
-/// --benchmark_list_tests skips the sweep entirely, and --benchmark_filter
-/// restricts it to matching points — same partial-match semantics and the
-/// same POSIX-extended grammar google-benchmark compiles the filter with
-/// (std::regex_constants::extended in its re.h), including the leading '-'
-/// negation. On a regex std::regex rejects, the full sweep runs — a
-/// filtered-out benchmark then merely ignores its result.
-inline int sweep_main(int argc, char** argv, const char* title) {
+/// Standard bench main: run the selected points as one SimSession, then let
+/// google-benchmark report the per-point results, then print the summary.
+/// Google-benchmark's selection flags are honored before any simulation
+/// runs: --benchmark_list_tests skips the sweep entirely, and
+/// --benchmark_filter restricts it to matching points (select_points).
+/// `cfg.with_baseline = false` skips the slowdown on every point (benches
+/// that plot latency or energy, not overhead).
+inline int sweep_main(int argc, char** argv, const char* title,
+                      api::SessionConfig cfg = {}) {
   bool list_only = false;
   std::string filter;
   // Falsy spellings google-benchmark's IsTruthyFlagValue accepts; anything
@@ -141,32 +204,20 @@ inline int sweep_main(int argc, char** argv, const char* title) {
     }
   }
   benchmark::Initialize(&argc, argv);
-  if (!list_only) {
-    if (filter.empty() || filter == "all") {
-      sweep().run_all();
-    } else {
-      bool negate = false;
-      if (filter[0] == '-') {
-        negate = true;
-        filter.erase(0, 1);
-      }
-      try {
-        const std::regex re(filter, std::regex_constants::extended);
-        sweep().run_all([&](const soc::SweepPoint& p) {
-          // google-benchmark matches against the *decorated* name every
-          // register_point entry gets (->Iterations(1)->UseManualTime());
-          // match the same string or anchored filters would diverge.
-          const std::string decorated =
-              p.name + "/iterations:1/manual_time";
-          return std::regex_search(decorated, re) != negate;
-        });
-      } catch (const std::regex_error&) {
-        sweep().run_all();
-      }
-    }
-  }
+  Registry& reg = registry();
+  const std::vector<u32> chosen =
+      list_only ? std::vector<u32>{} : select_points(filter);
+  std::vector<api::GridPoint> grid;
+  grid.reserve(chosen.size());
+  for (const u32 i : chosen) grid.push_back(reg.points[i]);
+  api::SimSession session(std::move(grid), cfg);
+  const std::vector<api::RunOutcome>& out = session.run_all();
+  for (size_t k = 0; k < chosen.size(); ++k) reg.results[chosen[k]] = out[k];
   benchmark::RunSpecifiedBenchmarks();
-  if (!list_only && title != nullptr) sweep().print_summary(title);
+  if (!list_only && title != nullptr) {
+    print_summary(title, session,
+                  cfg.jobs > 0 ? cfg.jobs : ThreadPool::default_jobs());
+  }
   return 0;
 }
 

@@ -29,11 +29,11 @@ const std::vector<Scenario>& scenarios() {
   return kScenarios;
 }
 
-void report_latency(benchmark::State& st, const soc::PointResult& r) {
+void report_latency(benchmark::State& st, const api::RunOutcome& r) {
   SampleSet lat;
-  for (const auto& d : r.run.detections) lat.add(d.latency_ns);
-  st.counters["attacks"] = static_cast<double>(r.run.planned_attacks);
-  st.counters["detected"] = static_cast<double>(r.run.detections.size());
+  for (const auto& d : r.result.detections) lat.add(d.latency_ns);
+  st.counters["attacks"] = static_cast<double>(r.result.planned_attacks);
+  st.counters["detected"] = static_cast<double>(r.result.detections.size());
   if (!lat.empty()) {
     st.counters["lat_min_ns"] = lat.min();
     st.counters["lat_med_ns"] = lat.percentile(50);
@@ -48,9 +48,8 @@ void register_all() {
       api::ExperimentSpec spec =
           make_spec(w, {{s.attack, soc::default_attack_count()}});
       spec.soc.kernels = {soc::deploy(s.kind, 4)};
-      // want_slowdown off: the figure plots latency, not overhead.
       register_spec("fig08/" + std::string(s.series) + "/" + w, "", spec,
-                    report_latency, /*want_slowdown=*/false);
+                    report_latency);
     }
   }
 }
@@ -60,5 +59,7 @@ void register_all() {
 
 int main(int argc, char** argv) {
   fgbench::register_all();
-  return fgbench::sweep_main(argc, argv, "Figure 8 (detection latency)");
+  // No baselines: the figure plots latency, not overhead.
+  return fgbench::sweep_main(argc, argv, "Figure 8 (detection latency)",
+                             {.with_baseline = false});
 }

@@ -13,15 +13,15 @@
 namespace fgbench {
 namespace {
 
-void report_stalls(benchmark::State& st, const soc::PointResult& r) {
+void report_stalls(benchmark::State& st, const api::RunOutcome& r) {
   st.counters["stall_filter"] =
-      r.run.stall_fractions[static_cast<size_t>(core::StallCause::kFilter)];
+      r.result.stall_fractions[static_cast<size_t>(core::StallCause::kFilter)];
   st.counters["stall_mapper"] =
-      r.run.stall_fractions[static_cast<size_t>(core::StallCause::kMapper)];
+      r.result.stall_fractions[static_cast<size_t>(core::StallCause::kMapper)];
   st.counters["stall_cdc"] =
-      r.run.stall_fractions[static_cast<size_t>(core::StallCause::kCdc)];
+      r.result.stall_fractions[static_cast<size_t>(core::StallCause::kCdc)];
   st.counters["stall_engines"] =
-      r.run.stall_fractions[static_cast<size_t>(core::StallCause::kEngines)];
+      r.result.stall_fractions[static_cast<size_t>(core::StallCause::kEngines)];
 }
 
 void register_all() {

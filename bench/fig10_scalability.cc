@@ -3,7 +3,7 @@
 // PMC and shadow stack sweep {2, 4, 6} engines (the paper's x-range for the
 // light kernels); ASan and UaF sweep {2, 4, 6, 8, 10, 12}.
 //
-// The grid itself lives in src/soc/figures.cc (fig10_points), shared with
+// The grid itself lives in src/api/spec.cc (fig10_points), shared with
 // `fgsim speed` so the speed trajectory always measures the real grid.
 //
 // Paper shape to check: PMC 2µ=1.20 -> 4µ=1.02 (x264 lags) -> 6µ all <1.05;
@@ -16,11 +16,12 @@ namespace fgbench {
 namespace {
 
 void register_all() {
-  // Same grid definition `fgsim speed` measures (src/soc/figures.cc),
-  // lifted onto the spec path: each point round-trips through an
-  // ExperimentSpec, so any point is exportable and runnable standalone.
-  for (const soc::SweepPoint& p : soc::fig10_points(soc::default_trace_len())) {
-    register_spec(p.name, p.series, api::spec_of_point(p));
+  // Same grid `fgsim speed` measures. Names are
+  // "fig10/<series>/<workload>"; the series is the middle part.
+  for (api::GridPoint& p : api::fig10_points(soc::default_trace_len())) {
+    const size_t lo = p.name.find('/') + 1;
+    std::string series = p.name.substr(lo, p.name.rfind('/') - lo);
+    register_spec(std::move(p.name), std::move(series), std::move(p.spec));
   }
 }
 

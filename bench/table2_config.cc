@@ -47,10 +47,9 @@ void register_all() {
   s.workload.warmup_insts = s.workload.n_insts / 10;
   s.soc.kernels = {soc::deploy(kernels::KernelKind::kPmc, 4)};
   register_spec("table2/reference_run", "", s,
-                [](benchmark::State& st, const soc::PointResult& r) {
-                  st.counters["ipc"] = r.run.ipc;
-                },
-                /*want_slowdown=*/false);
+                [](benchmark::State& st, const api::RunOutcome& r) {
+                  st.counters["ipc"] = r.result.ipc;
+                });
 }
 
 }  // namespace
@@ -59,5 +58,5 @@ void register_all() {
 int main(int argc, char** argv) {
   fgbench::print_config();
   fgbench::register_all();
-  return fgbench::sweep_main(argc, argv, nullptr);
+  return fgbench::sweep_main(argc, argv, nullptr, {.with_baseline = false});
 }

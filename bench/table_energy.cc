@@ -12,8 +12,8 @@
 namespace fgbench {
 namespace {
 
-void report_energy_rows(benchmark::State& st, const soc::PointResult& pr) {
-  const soc::RunResult& r = pr.run;
+void report_energy_rows(benchmark::State& st, const api::RunOutcome& pr) {
+  const soc::RunResult& r = pr.result;
   const double packets_per_commit =
       r.committed > 0 ? static_cast<double>(r.packets) / (4.0 * r.committed)
                       : 0.3;
@@ -40,8 +40,7 @@ void register_all() {
   // µcore duty cycle.
   api::ExperimentSpec s = make_spec("ferret");
   s.soc.kernels = {soc::deploy(kernels::KernelKind::kAsan, 4)};
-  register_spec("table_energy/rows", "", s, report_energy_rows,
-                /*want_slowdown=*/false);
+  register_spec("table_energy/rows", "", s, report_energy_rows);
 }
 
 }  // namespace
@@ -49,5 +48,5 @@ void register_all() {
 
 int main(int argc, char** argv) {
   fgbench::register_all();
-  return fgbench::sweep_main(argc, argv, nullptr);
+  return fgbench::sweep_main(argc, argv, nullptr, {.with_baseline = false});
 }

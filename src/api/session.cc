@@ -22,6 +22,13 @@ double now_ms() {
       .count();
 }
 
+std::vector<GridPoint> expand_or_die(const ExperimentSpec& spec) {
+  std::vector<GridPoint> points;
+  std::string err;
+  FG_CHECK(expand_grid(spec, &points, &err) && "invalid sweep axis");
+  return points;
+}
+
 }  // namespace
 
 RunOutcome run_spec(const ExperimentSpec& spec) {
@@ -137,12 +144,13 @@ RunOutcome PointExecutor::execute(const GridPoint& p) {
   return out;
 }
 
-SimSession::SimSession(ExperimentSpec spec, SessionConfig cfg)
-    : spec_(std::move(spec)), cfg_(cfg), executor_(cfg.with_baseline) {
-  std::string err;
-  FG_CHECK(expand_grid(spec_, &points_, &err) && "invalid sweep axis");
+SimSession::SimSession(const ExperimentSpec& spec, SessionConfig cfg)
+    : SimSession(expand_or_die(spec), cfg) {}
+
+SimSession::SimSession(std::vector<GridPoint> points, SessionConfig cfg)
+    : points_(std::move(points)), executor_(cfg.with_baseline) {
   results_.resize(points_.size());
-  const u32 jobs = cfg_.jobs > 0 ? cfg_.jobs : ThreadPool::default_jobs();
+  const u32 jobs = cfg.jobs > 0 ? cfg.jobs : ThreadPool::default_jobs();
   workers_ = std::min(
       jobs, std::max<u32>(1, std::thread::hardware_concurrency()));
 }
@@ -163,6 +171,7 @@ RunOutcome SimSession::execute(u32 index) {
 }
 
 const RunOutcome& SimSession::run() {
+  FG_CHECK(!points_.empty() && "run() on an empty session");
   if (!results_.front().executed) results_.front() = execute(0);
   return results_.front();
 }

@@ -3,7 +3,9 @@
 //
 // Construct from a spec, then either `run()` the single experiment
 // synchronously or `run_all()` the sweep grid (the spec's axes expanded as
-// a cross product) across the shared ThreadPool. Every point produces a
+// a cross product) across the shared ThreadPool. A session can also be
+// built from a ready point list — the figure grids the bench binaries and
+// `fgsim speed` assemble in code. Every point produces a
 // RunOutcome: the all-integer StatSnapshot (bit-exact, JSON-exportable),
 // the derived RunResult metrics (IPC, stall fractions, detection
 // latencies, SchedStats), and — unless disabled — the unmonitored baseline
@@ -45,7 +47,7 @@ struct Progress {
 
 struct SessionConfig {
   /// Worker threads for run_all: 0 = FG_JOBS env, else hardware
-  /// concurrency (the same rule as the sweep runner).
+  /// concurrency; either way capped at the machine's hardware concurrency.
   u32 jobs = 0;
   /// Run the unmonitored baseline (memoized) and fill slowdown. Ignored
   /// for mode == baseline specs, whose run IS the baseline.
@@ -55,7 +57,7 @@ struct SessionConfig {
 /// The execution half of the session: turns ONE concrete grid point into a
 /// RunOutcome (run_spec + the memoized baseline / slowdown policy).
 /// Orchestrators — SimSession's in-memory grid loop, the campaign runner's
-/// durable queue, a future `fgsim serve` daemon — decide WHAT to run and
+/// durable queue, the `fgsim serve` daemon — decide WHAT to run and
 /// what to do with the outcome; this class owns HOW a point becomes one.
 /// Stateless across points except for the baseline cache, so one executor
 /// is shared by all workers of a run (it is thread-safe).
@@ -89,14 +91,15 @@ class SimSession {
  public:
   /// Expands the sweep grid eagerly; FG_CHECKs on an invalid axis (validate
   /// specs with expand_grid first for a recoverable error).
-  explicit SimSession(ExperimentSpec spec, SessionConfig cfg = {});
+  explicit SimSession(const ExperimentSpec& spec, SessionConfig cfg = {});
+  /// Runs an already-expanded point list, in the given order.
+  explicit SimSession(std::vector<GridPoint> points, SessionConfig cfg = {});
 
   using ProgressFn = std::function<void(const Progress&)>;
   /// Registers a progress callback, invoked once per completed point under
   /// an internal mutex (callbacks run on worker threads; keep them short).
   void on_progress(ProgressFn fn) { progress_ = std::move(fn); }
 
-  const ExperimentSpec& spec() const { return spec_; }
   const std::vector<GridPoint>& points() const { return points_; }
   size_t n_points() const { return points_.size(); }
 
@@ -109,6 +112,8 @@ class SimSession {
 
   const std::vector<RunOutcome>& results() const { return results_; }
   soc::BaselineCache& baseline_cache() { return executor_.baseline_cache(); }
+  /// Worker threads run_all uses: the requested jobs capped at hardware
+  /// concurrency (results never depend on it).
   u32 workers() const { return workers_; }
   /// Whole-grid wall clock of run_all in milliseconds.
   double wall_ms() const { return wall_ms_; }
@@ -116,8 +121,6 @@ class SimSession {
  private:
   RunOutcome execute(u32 index);
 
-  ExperimentSpec spec_;
-  SessionConfig cfg_;
   u32 workers_ = 1;
   std::vector<GridPoint> points_;
   std::vector<RunOutcome> results_;
@@ -129,8 +132,9 @@ class SimSession {
   size_t completed_ = 0;
 };
 
-/// The one shared run path under every front-end (SimSession, the fuzz
-/// driver's scenario runner, the golden corpus, `fgsim run`): simulate
+/// The one shared run path under every front-end (SimSession — and with it
+/// `fgsim run` / `sweep`, the bench binaries and `fgsim speed` — the fuzz
+/// driver's scenario runner, the golden corpus): simulate
 /// `spec` to completion under the CURRENT scheduler mode and freeze the
 /// outcome. Baseline cycles/slowdown are NOT attached (that is session
 /// policy); invariant-counter deltas for the run are. Those deltas come

@@ -526,6 +526,40 @@ bool expand_grid(const ExperimentSpec& spec, std::vector<GridPoint>* out,
   return true;
 }
 
+std::vector<GridPoint> fig10_points(u64 n_insts, bool quick) {
+  struct Sweep {
+    const char* series;
+    kernels::KernelKind kind;
+    std::vector<u32> engines;
+  };
+  const std::vector<Sweep> sweeps =
+      quick ? std::vector<Sweep>{{"pmc", kernels::KernelKind::kPmc, {2, 4}},
+                                 {"sanitizer", kernels::KernelKind::kAsan,
+                                  {2, 4}}}
+            : std::vector<Sweep>{
+                  {"pmc", kernels::KernelKind::kPmc, {2, 4, 6}},
+                  {"shadow", kernels::KernelKind::kShadowStack, {2, 4, 6}},
+                  {"sanitizer", kernels::KernelKind::kAsan,
+                   {2, 4, 6, 8, 10, 12}},
+                  {"uaf", kernels::KernelKind::kUaf, {2, 4, 6, 8, 10, 12}}};
+  std::vector<GridPoint> out;
+  for (const Sweep& s : sweeps) {
+    for (const u32 n : s.engines) {
+      for (const std::string& w : soc::paper_workloads()) {
+        GridPoint p;
+        p.name = "fig10/" + std::string(s.series) + "/" + std::to_string(n) +
+                 "ucores/" + w;
+        p.spec.name = p.name;
+        p.spec.workload = soc::paper_workload(w, n_insts);
+        p.spec.soc = soc::table2_soc();
+        p.spec.soc.kernels = {soc::deploy(s.kind, n)};
+        out.push_back(std::move(p));
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<std::string> spec_schema_keys() {
   // A sample that populates every optional branch of the serialization:
   // software scheme, an attack plan, an overridden policy, a sweep axis.
@@ -556,28 +590,6 @@ std::vector<std::string> spec_schema_keys() {
   walk(spec_to_json_value(sample), "");
   std::sort(keys.begin(), keys.end());
   return keys;
-}
-
-soc::SweepPoint to_sweep_point(const ExperimentSpec& spec) {
-  soc::SweepPoint p;
-  p.name = spec.name;
-  p.wl = spec.workload;
-  p.sc = spec.soc;
-  p.kind = spec.mode == Mode::kSoftware ? soc::SweepPoint::Kind::kSoftware
-                                        : soc::SweepPoint::Kind::kFireguard;
-  p.scheme = spec.scheme;
-  return p;
-}
-
-ExperimentSpec spec_of_point(const soc::SweepPoint& p) {
-  ExperimentSpec s;
-  s.name = p.name;
-  s.mode = p.kind == soc::SweepPoint::Kind::kSoftware ? Mode::kSoftware
-                                                      : Mode::kFireguard;
-  s.scheme = p.scheme;
-  s.workload = p.wl;
-  s.soc = p.sc;
-  return s;
 }
 
 }  // namespace fg::api

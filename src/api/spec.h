@@ -23,7 +23,6 @@
 
 #include "src/soc/config_json.h"
 #include "src/soc/experiment.h"
-#include "src/soc/sweep.h"
 
 namespace fg::api {
 
@@ -92,18 +91,17 @@ struct GridPoint {
 bool expand_grid(const ExperimentSpec& spec, std::vector<GridPoint>* out,
                  std::string* err);
 
+/// Figure 10 grid: slowdown vs. µcore count for all four guardian kernels
+/// (PMC / shadow stack over {2,4,6}; ASan / UaF over {2,4,6,8,10,12}), all
+/// nine paper workloads — 162 points named "fig10/<series>/<workload>",
+/// series "<kernel>/<n>ucores". `quick` shrinks it to PMC+ASan at {2,4}
+/// (36 points) for CI-sized runs. Defined once so bench_fig10_scalability
+/// and `fgsim speed` run the SAME points.
+std::vector<GridPoint> fig10_points(u64 n_insts, bool quick = false);
+
 /// Flattened JSON schema of a fully-populated spec ("soc.core.rob_entries",
 /// "soc.kernels[].policy", ...). Used by the docs drift check: every key
 /// must appear in docs/API.md.
 std::vector<std::string> spec_schema_keys();
-
-/// Convert one concrete (sweep-free) spec into a SweepRunner point — the
-/// bridge the figure benches use, so every bench point is an ExperimentSpec
-/// first and a simulation second.
-soc::SweepPoint to_sweep_point(const ExperimentSpec& spec);
-
-/// Inverse bridge: wrap an existing SweepRunner point (e.g. the shared
-/// Figure-10 grid definition in src/soc/figures.cc) as a spec.
-ExperimentSpec spec_of_point(const soc::SweepPoint& p);
 
 }  // namespace fg::api

@@ -1,4 +1,4 @@
-// Fixed-size worker pool for the parallel sweep runner.
+// Fixed-size worker pool for parallel grid runs (api::SimSession).
 //
 // Simulation points are coarse-grained (tens of milliseconds to seconds
 // each), so a plain mutex-protected task deque is far below measurement

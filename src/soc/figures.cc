@@ -21,38 +21,4 @@ trace::WorkloadConfig paper_workload(
   return wl;
 }
 
-std::vector<SweepPoint> fig10_points(u64 n_insts, bool quick) {
-  struct Sweep {
-    const char* series;
-    kernels::KernelKind kind;
-    std::vector<u32> engines;
-  };
-  const std::vector<Sweep> sweeps =
-      quick ? std::vector<Sweep>{{"pmc", kernels::KernelKind::kPmc, {2, 4}},
-                                 {"sanitizer", kernels::KernelKind::kAsan,
-                                  {2, 4}}}
-            : std::vector<Sweep>{
-                  {"pmc", kernels::KernelKind::kPmc, {2, 4, 6}},
-                  {"shadow", kernels::KernelKind::kShadowStack, {2, 4, 6}},
-                  {"sanitizer", kernels::KernelKind::kAsan,
-                   {2, 4, 6, 8, 10, 12}},
-                  {"uaf", kernels::KernelKind::kUaf, {2, 4, 6, 8, 10, 12}}};
-  std::vector<SweepPoint> out;
-  for (const Sweep& s : sweeps) {
-    for (const u32 n : s.engines) {
-      for (const std::string& w : paper_workloads()) {
-        SweepPoint p;
-        p.name = "fig10/" + std::string(s.series) + "/" + std::to_string(n) +
-                 "ucores/" + w;
-        p.series = std::string(s.series) + "/" + std::to_string(n) + "ucores";
-        p.wl = paper_workload(w, n_insts);
-        p.sc = table2_soc();
-        p.sc.kernels = {deploy(s.kind, n)};
-        out.push_back(std::move(p));
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace fg::soc

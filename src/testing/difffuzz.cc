@@ -86,16 +86,16 @@ FuzzReport run_fuzz(const FuzzOptions& opt, const ScenarioRunner& runner_in) {
     // seed must not saturate the ring and leave later failures' artifacts
     // without the invariant names.
     inv::reset_counters();
-    const StatSnapshot exact = runner(s, true);
-    const StatSnapshot event = runner(s, false);
+    const api::StatSnapshot exact = runner(s, true);
+    const api::StatSnapshot event = runner(s, false);
     if (inv_msgs != nullptr && inv::violations() != 0) {
       for (const std::string& m : inv::recent_violations()) {
         *inv_msgs += m + "\n";
       }
     }
-    return snapshots_equal(exact, event)
+    return api::snapshots_equal(exact, event)
                ? std::string{}
-               : snapshot_diff(exact, event, "exact", "event");
+               : api::snapshot_diff(exact, event, "exact", "event");
   };
 
   for (u64 i = 0; i < opt.seeds; ++i) {

@@ -21,7 +21,8 @@ namespace fg::fuzz {
 /// Injection point for tests: given a scenario and the scheduler mode,
 /// produce its snapshot. The default runner flips fg::set_cycle_exact and
 /// calls run_scenario_snapshot.
-using ScenarioRunner = std::function<StatSnapshot(const Scenario&, bool exact)>;
+using ScenarioRunner =
+    std::function<api::StatSnapshot(const Scenario&, bool exact)>;
 
 struct FuzzOptions {
   u64 seeds = 64;      // how many seeds to run

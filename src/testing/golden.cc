@@ -20,7 +20,7 @@ std::string golden_path(const std::string& dir, const GoldenEntry& e) {
 }
 
 std::string golden_file_text(const GoldenEntry& e, const Scenario& s,
-                             const StatSnapshot& snap) {
+                             const api::StatSnapshot& snap) {
   char buf[128];
   std::string out = "{\n";
   out += "  \"schema\": \"fireguard/golden/v1\",\n";
@@ -30,7 +30,7 @@ std::string golden_file_text(const GoldenEntry& e, const Scenario& s,
                 static_cast<unsigned long long>(e.seed));
   out += buf;
   out += "  \"scenario\":\n" + scenario_json(s, 2) + ",\n";
-  out += "  \"snapshot\":\n" + snapshot_json(snap, 2) + "\n";
+  out += "  \"snapshot\":\n" + api::snapshot_json(snap, 2) + "\n";
   out += "}\n";
   return out;
 }
@@ -79,7 +79,7 @@ std::string update_golden(const std::string& dir, const ScenarioRunner& r) {
   for (const GoldenEntry& e : golden_entries()) {
     const Scenario s = scenario_from_seed(
         e.seed, e.stall ? golden_stall_envelope() : golden_envelope());
-    const StatSnapshot snap = runner(s, /*exact=*/false);
+    const api::StatSnapshot snap = runner(s, /*exact=*/false);
     std::ofstream out(golden_path(dir, e));
     if (!out) return "cannot write " + golden_path(dir, e);
     out << golden_file_text(e, s, snap);
@@ -115,7 +115,7 @@ std::string check_golden(const std::string& dir, const ScenarioRunner& r) {
                 ", corpus " + seed_buf + ")\n";
       continue;
     }
-    StatSnapshot golden;
+    api::StatSnapshot golden;
     if (root.get("snapshot") == nullptr) {
       report += "UNPARSABLE " + path + " (no snapshot)\n";
       continue;
@@ -129,18 +129,18 @@ std::string check_golden(const std::string& dir, const ScenarioRunner& r) {
     const size_t inner_close = text.rfind('}', close - 1);
     if (tag == std::string::npos || open == std::string::npos ||
         inner_close == std::string::npos || inner_close < open ||
-        !snapshot_from_json(text.substr(open, inner_close - open + 1),
-                            &golden)) {
+        !api::snapshot_from_json(
+            text.substr(open, inner_close - open + 1), &golden)) {
       report += "UNPARSABLE " + path + " (snapshot)\n";
       continue;
     }
     const Scenario s = scenario_from_seed(
         e.seed, e.stall ? golden_stall_envelope() : golden_envelope());
-    const StatSnapshot fresh = runner(s, /*exact=*/false);
-    if (!snapshots_equal(golden, fresh)) {
+    const api::StatSnapshot fresh = runner(s, /*exact=*/false);
+    if (!api::snapshots_equal(golden, fresh)) {
       report += "MISMATCH " + std::string(e.name) + " (" +
                 scenario_summary(s) + "):\n" +
-                snapshot_diff(golden, fresh, "golden", "run");
+                api::snapshot_diff(golden, fresh, "golden", "run");
     }
   }
   return report;

@@ -4,12 +4,13 @@
 
 namespace fg::fuzz {
 
-StatSnapshot run_scenario_snapshot_in_mode(const Scenario& s, bool exact) {
+api::StatSnapshot run_scenario_snapshot_in_mode(const Scenario& s,
+                                                bool exact) {
   set_cycle_exact(exact);
   return run_scenario_snapshot(s);
 }
 
-StatSnapshot run_scenario_snapshot(const Scenario& s) {
+api::StatSnapshot run_scenario_snapshot(const Scenario& s) {
   // One shared run path (api::run_spec) under the fuzzer, the golden
   // corpus, SimSession, and the fgsim CLI.
   return api::run_spec(s.spec).snapshot;

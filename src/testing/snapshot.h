@@ -1,10 +1,10 @@
 // Scenario runners for the fuzzing subsystem.
 //
 // The snapshot type itself — and its equality / diff / JSON machinery —
-// lives in the public API layer (src/api/snapshot.h); this header aliases
-// it into fg::fuzz and adds the scenario-shaped entry points the fuzz
-// driver and the golden corpus share. Both delegate to api::run_spec, so
-// the fuzzer exercises exactly the code path `fgsim run` serves users with.
+// lives in the public API layer (src/api/snapshot.h); this header adds the
+// scenario-shaped entry points the fuzz driver and the golden corpus
+// share. Both delegate to api::run_spec, so the fuzzer exercises exactly
+// the code path `fgsim run` serves users with.
 #pragma once
 
 #include "src/api/session.h"
@@ -12,22 +12,14 @@
 
 namespace fg::fuzz {
 
-using api::DetectionSnap;
-using api::EngineSnap;
-using api::StatSnapshot;
-
-using api::snapshot_diff;
-using api::snapshot_from_json;
-using api::snapshot_json;
-using api::snapshots_equal;
-
 /// Run the scenario's spec to completion under the CURRENT scheduler mode
 /// (fg::cycle_exact()) and snapshot it.
-StatSnapshot run_scenario_snapshot(const Scenario& s);
+api::StatSnapshot run_scenario_snapshot(const Scenario& s);
 
 /// The default ScenarioRunner shared by the fuzz driver and the golden
 /// corpus: select the scheduler mode, then simulate. Leaves the mode set —
 /// callers guard entry/exit (difffuzz's FuzzModeGuard, golden's ModeGuard).
-StatSnapshot run_scenario_snapshot_in_mode(const Scenario& s, bool exact);
+api::StatSnapshot run_scenario_snapshot_in_mode(const Scenario& s,
+                                                bool exact);
 
 }  // namespace fg::fuzz

@@ -1,4 +1,4 @@
-// Concurrency-contract tests: SweepRunner worker capping and BaselineCache
+// Concurrency-contract tests: SimSession worker capping and BaselineCache
 // once-semantics / in-flight-wait accounting when more callers than cores
 // race on one key.
 #include <gtest/gtest.h>
@@ -7,9 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/api/session.h"
 #include "src/soc/experiment.h"
 #include "src/soc/figures.h"
-#include "src/soc/sweep.h"
 
 namespace fg::soc {
 namespace {
@@ -17,14 +17,12 @@ namespace {
 u32 hw() { return std::max<u32>(1, std::thread::hardware_concurrency()); }
 
 /// Requesting more jobs than the machine has cores must cap the worker
-/// count at hardware concurrency while still honoring the request in
-/// jobs().
-TEST(Contention, SweepRunnerCapsWorkersAtHardwareConcurrency) {
+/// count at hardware concurrency.
+TEST(Contention, SimSessionCapsWorkersAtHardwareConcurrency) {
   const u32 oversub = hw() * 2 + 3;
-  SweepRunner runner(SweepConfig{oversub});
-  EXPECT_EQ(runner.jobs(), oversub);
-  EXPECT_EQ(runner.workers(), hw());
-  SweepRunner one(SweepConfig{1});
+  api::SimSession session(std::vector<api::GridPoint>{}, {.jobs = oversub});
+  EXPECT_EQ(session.workers(), hw());
+  api::SimSession one(std::vector<api::GridPoint>{}, {.jobs = 1});
   EXPECT_EQ(one.workers(), 1u);
 }
 
@@ -33,25 +31,28 @@ TEST(Contention, SweepRunnerCapsWorkersAtHardwareConcurrency) {
 /// run the baseline exactly once and every point must read the same cycles.
 TEST(Contention, SharedBaselineKeyRunsOnceAcrossOversubscribedSweep) {
   const u32 n_points = hw() * 2 + 2;
-  SweepRunner runner(SweepConfig{n_points});  // workers capped internally
   const trace::WorkloadConfig wl = paper_workload("swaptions", 2'000);
+  std::vector<api::GridPoint> points;
   for (u32 i = 0; i < n_points; ++i) {
-    SweepPoint p;
+    api::GridPoint p;
     p.name = "contention/" + std::to_string(i);
-    p.wl = wl;
-    p.sc = table2_soc();
+    p.spec.name = p.name;
+    p.spec.workload = wl;
+    p.spec.soc = table2_soc();
     // Different deployments, same baseline key (the baseline never runs the
     // kernels).
-    p.sc.kernels = {deploy(i % 2 == 0 ? kernels::KernelKind::kPmc
-                                      : kernels::KernelKind::kAsan,
-                           1 + i % 3)};
-    runner.add(std::move(p));
+    p.spec.soc.kernels = {deploy(i % 2 == 0 ? kernels::KernelKind::kPmc
+                                           : kernels::KernelKind::kAsan,
+                                 1 + i % 3)};
+    points.push_back(std::move(p));
   }
-  const std::vector<PointResult>& results = runner.run_all();
+  // workers capped internally
+  api::SimSession session(std::move(points), {.jobs = n_points});
+  const std::vector<api::RunOutcome>& results = session.run_all();
   ASSERT_EQ(results.size(), n_points);
-  EXPECT_EQ(runner.baseline_cache().misses(), 1u);
-  EXPECT_EQ(runner.baseline_cache().hits(), n_points - 1u);
-  for (const PointResult& r : results) {
+  EXPECT_EQ(session.baseline_cache().misses(), 1u);
+  EXPECT_EQ(session.baseline_cache().hits(), n_points - 1u);
+  for (const api::RunOutcome& r : results) {
     EXPECT_TRUE(r.executed);
     EXPECT_EQ(r.baseline_cycles, results[0].baseline_cycles);
     EXPECT_GT(r.baseline_cycles, 0u);

@@ -35,7 +35,7 @@ TEST(FuzzDriver, RealSeedsAreCleanAndReported) {
 TEST(FuzzDriver, ShrinksAMismatchToThePlantedThreshold) {
   constexpr u64 kBugLen = 4'321;
   auto fake = [](const Scenario& s, bool exact) {
-    StatSnapshot snap;
+    api::StatSnapshot snap;
     snap.cycles = 1000;
     snap.committed = s.wl().n_insts;
     if (!exact && s.wl().n_insts >= kBugLen) snap.cycles += 7;  // the "bug"
@@ -61,7 +61,7 @@ TEST(FuzzDriver, ShrinksAMismatchToThePlantedThreshold) {
 
 TEST(FuzzDriver, WritesAReproducibleArtifact) {
   auto fake = [](const Scenario&, bool exact) {
-    StatSnapshot snap;
+    api::StatSnapshot snap;
     snap.cycles = exact ? 10 : 11;
     return snap;
   };
@@ -101,7 +101,7 @@ TEST(FuzzDriver, RoutesInvariantViolationsAsFailures) {
     if (!exact) {
       FG_INVARIANT(false, "test.fake_violation");
     }
-    return StatSnapshot{};  // snapshots agree; only the invariant fires
+    return api::StatSnapshot{};  // snapshots agree; only the invariant fires
   };
   FuzzOptions opt;
   opt.seeds = 1;
@@ -125,7 +125,7 @@ TEST(FuzzDriver, RestoresGlobalModes) {
   FuzzOptions opt;
   opt.seeds = 1;
   opt.env.max_insts = 2'000;
-  run_fuzz(opt, [](const Scenario&, bool) { return StatSnapshot{}; });
+  run_fuzz(opt, [](const Scenario&, bool) { return api::StatSnapshot{}; });
   EXPECT_FALSE(cycle_exact());
   EXPECT_TRUE(inv::abort_on_violation());
 }

@@ -14,11 +14,11 @@ namespace {
 
 /// Fast synthetic runner: deterministic per (seed, length, exactness-
 /// independent) so corpus mechanics are testable without 20 simulations.
-StatSnapshot fake_runner(const Scenario& s, bool) {
-  StatSnapshot snap;
+api::StatSnapshot fake_runner(const Scenario& s, bool) {
+  api::StatSnapshot snap;
   snap.cycles = s.seed * 1000 + s.wl().n_insts;
   snap.committed = s.wl().n_insts;
-  snap.engines.push_back(EngineSnap{false, s.seed, 0, 0, 0, 0, 0, 0});
+  snap.engines.push_back(api::EngineSnap{false, s.seed, 0, 0, 0, 0, 0, 0});
   return snap;
 }
 

@@ -290,13 +290,13 @@ TEST(HorizonContract, ScenarioSnapshotsMatchExactReference) {
   ExactMode guard(false);
   for (u64 seed = 201; seed <= 206; ++seed) {
     const fuzz::Scenario s = fuzz::scenario_from_seed(seed, contract_envelope());
-    const fuzz::StatSnapshot event =
+    const api::StatSnapshot event =
         fuzz::run_scenario_snapshot_in_mode(s, /*exact=*/false);
-    const fuzz::StatSnapshot exact =
+    const api::StatSnapshot exact =
         fuzz::run_scenario_snapshot_in_mode(s, /*exact=*/true);
-    EXPECT_TRUE(fuzz::snapshots_equal(exact, event))
+    EXPECT_TRUE(api::snapshots_equal(exact, event))
         << fuzz::scenario_summary(s) << "\n"
-        << fuzz::snapshot_diff(exact, event, "exact", "event");
+        << api::snapshot_diff(exact, event, "exact", "event");
   }
 }
 

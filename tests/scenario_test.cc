@@ -165,10 +165,10 @@ TEST(Snapshot, RunIsDeterministic) {
   ScenarioEnvelope env;
   env.max_insts = 3'000;
   const Scenario s = scenario_from_seed(11, env);
-  const StatSnapshot a = run_scenario_snapshot(s);
-  const StatSnapshot b = run_scenario_snapshot(s);
-  EXPECT_TRUE(snapshots_equal(a, b));
-  EXPECT_EQ(snapshot_diff(a, b, "a", "b"), "");
+  const api::StatSnapshot a = run_scenario_snapshot(s);
+  const api::StatSnapshot b = run_scenario_snapshot(s);
+  EXPECT_TRUE(api::snapshots_equal(a, b));
+  EXPECT_EQ(api::snapshot_diff(a, b, "a", "b"), "");
   EXPECT_GT(a.committed, 0u);
   EXPECT_GT(a.cdc_pushes, 0u);
   ASSERT_FALSE(a.engines.empty());
@@ -181,31 +181,31 @@ TEST(Snapshot, JsonRoundTripIsExact) {
   Scenario s = scenario_from_seed(3, env);
   s.wl().attacks = {{trace::AttackKind::kPcHijack, 2},
                   {trace::AttackKind::kHeapOob, 2}};
-  const StatSnapshot a = run_scenario_snapshot(s);
-  StatSnapshot back;
-  ASSERT_TRUE(snapshot_from_json(snapshot_json(a), &back));
-  EXPECT_TRUE(snapshots_equal(a, back));
+  const api::StatSnapshot a = run_scenario_snapshot(s);
+  api::StatSnapshot back;
+  ASSERT_TRUE(api::snapshot_from_json(api::snapshot_json(a), &back));
+  EXPECT_TRUE(api::snapshots_equal(a, back));
   // Serializing the parsed copy reproduces the text byte-for-byte.
-  EXPECT_EQ(snapshot_json(a), snapshot_json(back));
+  EXPECT_EQ(api::snapshot_json(a), api::snapshot_json(back));
 }
 
 TEST(Snapshot, DiffNamesTheDivergingField) {
   const Scenario s = scenario_from_seed(13, golden_envelope());
-  const StatSnapshot a = run_scenario_snapshot(s);
-  StatSnapshot b = a;
+  const api::StatSnapshot a = run_scenario_snapshot(s);
+  api::StatSnapshot b = a;
   b.noc_messages += 5;
   b.cycles += 1;
-  EXPECT_FALSE(snapshots_equal(a, b));
-  const std::string diff = snapshot_diff(a, b, "exact", "event");
+  EXPECT_FALSE(api::snapshots_equal(a, b));
+  const std::string diff = api::snapshot_diff(a, b, "exact", "event");
   EXPECT_NE(diff.find("noc_messages"), std::string::npos) << diff;
   EXPECT_NE(diff.find("cycles"), std::string::npos) << diff;
 }
 
 TEST(Snapshot, RejectsForeignJson) {
-  StatSnapshot out;
-  EXPECT_FALSE(snapshot_from_json("{}", &out));
-  EXPECT_FALSE(snapshot_from_json("not json", &out));
-  EXPECT_FALSE(snapshot_from_json("{\"schema\": \"other/v9\"}", &out));
+  api::StatSnapshot out;
+  EXPECT_FALSE(api::snapshot_from_json("{}", &out));
+  EXPECT_FALSE(api::snapshot_from_json("not json", &out));
+  EXPECT_FALSE(api::snapshot_from_json("{\"schema\": \"other/v9\"}", &out));
 }
 
 }  // namespace

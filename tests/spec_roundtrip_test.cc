@@ -33,11 +33,11 @@ void check_roundtrip(const Scenario& s) {
   ASSERT_EQ(api::spec_canonical(reparsed), api::spec_canonical(s.spec))
       << s.name << ": canonical form drifted across the round-trip";
 
-  const StatSnapshot direct = api::run_spec(s.spec).snapshot;
-  const StatSnapshot via_json = api::run_spec(reparsed).snapshot;
-  EXPECT_TRUE(snapshots_equal(direct, via_json))
+  const api::StatSnapshot direct = api::run_spec(s.spec).snapshot;
+  const api::StatSnapshot via_json = api::run_spec(reparsed).snapshot;
+  EXPECT_TRUE(api::snapshots_equal(direct, via_json))
       << s.name << ":\n"
-      << snapshot_diff(direct, via_json, "direct", "via_json");
+      << api::snapshot_diff(direct, via_json, "direct", "via_json");
 }
 
 TEST(SpecRoundTrip, EveryGoldenScenarioIsBitIdenticalThroughJson) {

@@ -1,8 +1,9 @@
-// Determinism and threading contract of the parallel sweep runner: the
-// parallel path must produce RunResults bit-identical to the serial path,
-// point order must be stable, and the shared BaselineCache must run each
-// baseline exactly once no matter how many threads miss concurrently.
-#include "src/soc/sweep.h"
+// Determinism and threading contract of the parallel grid runner
+// (api::SimSession): the parallel path must produce outcomes bit-identical
+// to the serial path, point order must be stable, and the shared
+// BaselineCache must run each baseline exactly once no matter how many
+// threads miss concurrently.
+#include "src/api/session.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,10 @@
 
 namespace fg::soc {
 namespace {
+
+using api::GridPoint;
+using api::RunOutcome;
+using api::SimSession;
 
 trace::WorkloadConfig small_wl(const std::string& name) {
   trace::WorkloadConfig wl;
@@ -25,126 +30,92 @@ trace::WorkloadConfig small_wl(const std::string& name) {
 }
 
 /// 3 workloads x 2 configs (ASan on 2 and 4 µcores) = 6 points.
-void add_grid(SweepRunner& runner) {
+std::vector<GridPoint> grid() {
+  std::vector<GridPoint> points;
   for (const u32 n : {2u, 4u}) {
     for (const char* w : {"blackscholes", "dedup", "ferret"}) {
-      SweepPoint p;
+      GridPoint p;
       p.name = std::string(w) + "/" + std::to_string(n);
-      p.series = std::to_string(n) + "ucores";
-      p.wl = small_wl(w);
-      p.sc = table2_soc();
-      p.sc.kernels = {deploy(kernels::KernelKind::kAsan, n)};
-      runner.add(std::move(p));
+      p.spec.name = p.name;
+      p.spec.workload = small_wl(w);
+      p.spec.soc = table2_soc();
+      p.spec.soc.kernels = {deploy(kernels::KernelKind::kAsan, n)};
+      points.push_back(std::move(p));
     }
   }
-}
-
-void expect_identical(const PointResult& s, const PointResult& p,
-                      const std::string& name) {
-  EXPECT_EQ(s.run.cycles, p.run.cycles) << name;
-  EXPECT_EQ(s.run.committed, p.run.committed) << name;
-  EXPECT_EQ(s.run.packets, p.run.packets) << name;
-  EXPECT_EQ(s.run.spurious, p.run.spurious) << name;
-  EXPECT_EQ(s.baseline_cycles, p.baseline_cycles) << name;
-  EXPECT_DOUBLE_EQ(s.slowdown, p.slowdown) << name;
-  ASSERT_EQ(s.run.detections.size(), p.run.detections.size()) << name;
-  for (size_t i = 0; i < s.run.detections.size(); ++i) {
-    const DetectionRecord& a = s.run.detections[i];
-    const DetectionRecord& b = p.run.detections[i];
-    EXPECT_EQ(a.attack_id, b.attack_id) << name;
-    EXPECT_EQ(a.engine, b.engine) << name;
-    EXPECT_EQ(a.commit_fast, b.commit_fast) << name;
-    EXPECT_EQ(a.detect_fast, b.detect_fast) << name;
-  }
+  return points;
 }
 
 TEST(Sweep, ParallelBitIdenticalToSerial) {
-  SweepRunner serial(SweepConfig{1});
-  add_grid(serial);
+  SimSession serial(grid(), {.jobs = 1});
   serial.run_all();
 
-  SweepRunner parallel(SweepConfig{4});
-  add_grid(parallel);
+  SimSession parallel(grid(), {.jobs = 4});
   parallel.run_all();
 
   ASSERT_EQ(serial.n_points(), parallel.n_points());
   ASSERT_EQ(serial.n_points(), 6u);
-  for (u32 i = 0; i < serial.n_points(); ++i) {
-    EXPECT_EQ(serial.point(i).name, parallel.point(i).name);
-    expect_identical(serial.result(i), parallel.result(i),
-                     serial.point(i).name);
+  for (size_t i = 0; i < serial.n_points(); ++i) {
+    const RunOutcome& s = serial.results()[i];
+    const RunOutcome& p = parallel.results()[i];
+    EXPECT_EQ(s.name, p.name);
+    EXPECT_TRUE(api::snapshots_equal(s.snapshot, p.snapshot))
+        << api::snapshot_diff(s.snapshot, p.snapshot, "serial", "parallel");
+    EXPECT_EQ(s.baseline_cycles, p.baseline_cycles) << s.name;
+    EXPECT_DOUBLE_EQ(s.slowdown, p.slowdown) << s.name;
   }
 }
 
 TEST(Sweep, ResultsInRegistrationOrder) {
-  SweepRunner runner(SweepConfig{4});
-  add_grid(runner);
-  runner.run_all();
-  // Point i's result must describe point i: heavier deployments (2 vs 4
-  // µcores on the same trace) differ in cycles, and each point ran at all.
-  for (u32 i = 0; i < runner.n_points(); ++i) {
-    EXPECT_GT(runner.result(i).run.cycles, 0u) << runner.point(i).name;
-    EXPECT_GT(runner.result(i).slowdown, 0.0) << runner.point(i).name;
-    EXPECT_GT(runner.result(i).baseline_cycles, 0u) << runner.point(i).name;
+  const std::vector<GridPoint> points = grid();
+  SimSession session(points, {.jobs = 4});
+  const std::vector<RunOutcome>& results = session.run_all();
+  // Point i's outcome must describe point i: it carries the point's name,
+  // and each point ran at all.
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(results[i].name, points[i].name);
+    EXPECT_GT(results[i].result.cycles, 0u) << points[i].name;
+    EXPECT_GT(results[i].slowdown, 0.0) << points[i].name;
+    EXPECT_GT(results[i].baseline_cycles, 0u) << points[i].name;
   }
   // Same workload, same trace: identical baseline (cache key ignores the
   // engine count, which does not affect the unmonitored run).
-  EXPECT_EQ(runner.result(0).baseline_cycles, runner.result(3).baseline_cycles);
-}
-
-TEST(Sweep, SelectPredicateSkipsFilteredPoints) {
-  SweepRunner runner(SweepConfig{2});
-  add_grid(runner);
-  runner.run_all(
-      [](const SweepPoint& p) { return p.name.find("dedup") != std::string::npos; });
-  for (u32 i = 0; i < runner.n_points(); ++i) {
-    const bool is_dedup =
-        runner.point(i).name.find("dedup") != std::string::npos;
-    EXPECT_EQ(runner.result(i).executed, is_dedup) << runner.point(i).name;
-    if (!is_dedup) {
-      EXPECT_EQ(runner.result(i).run.cycles, 0u);
-      EXPECT_EQ(runner.result(i).wall_ms, 0.0);
-    } else {
-      EXPECT_GT(runner.result(i).run.cycles, 0u);
-    }
-  }
-  // Only dedup's baseline ran.
-  EXPECT_EQ(runner.baseline_cache().misses(), 1u);
+  EXPECT_EQ(results[0].baseline_cycles, results[3].baseline_cycles);
 }
 
 TEST(Sweep, RunAllIsIdempotent) {
-  SweepRunner runner(SweepConfig{2});
-  add_grid(runner);
-  const std::vector<PointResult>& first = runner.run_all();
-  const Cycle c0 = first[0].run.cycles;
-  const std::vector<PointResult>& second = runner.run_all();
+  SimSession session(grid(), {.jobs = 2});
+  const std::vector<RunOutcome>& first = session.run_all();
+  const Cycle c0 = first[0].result.cycles;
+  const u64 misses = session.baseline_cache().misses();
+  const std::vector<RunOutcome>& second = session.run_all();
   EXPECT_EQ(&first, &second);
-  EXPECT_EQ(second[0].run.cycles, c0);
+  EXPECT_EQ(second[0].result.cycles, c0);
+  EXPECT_EQ(session.baseline_cache().misses(), misses);  // nothing re-ran
 }
 
 TEST(Sweep, SoftwarePointsRunTheInstrumentedCore) {
-  SweepRunner runner(SweepConfig{2});
-  SweepPoint p;
+  GridPoint p;
   p.name = "sw";
-  p.wl = small_wl("blackscholes");
-  p.sc = table2_soc();
-  p.kind = SweepPoint::Kind::kSoftware;
-  p.scheme = baseline::SwScheme::kAsanX8664;
-  runner.add(std::move(p));
-  runner.run_all();
+  p.spec.name = p.name;
+  p.spec.mode = api::Mode::kSoftware;
+  p.spec.scheme = baseline::SwScheme::kAsanX8664;
+  p.spec.workload = small_wl("blackscholes");
+  p.spec.soc = table2_soc();
+  SimSession session({p}, {.jobs = 2});
+  const RunOutcome& r = session.run_all()[0];
   // Software instrumentation expands the dynamic instruction stream and
   // must slow the core down vs. the unmonitored baseline.
-  EXPECT_GT(runner.result(0).run.expansion, 1.0);
-  EXPECT_GT(runner.result(0).slowdown, 1.0);
+  EXPECT_GT(r.result.expansion, 1.0);
+  EXPECT_GT(r.slowdown, 1.0);
 }
 
 TEST(Sweep, BaselineCacheSharedAcrossPoints) {
-  SweepRunner runner(SweepConfig{4});
-  add_grid(runner);
-  runner.run_all();
+  SimSession session(grid(), {.jobs = 4});
+  session.run_all();
   // 6 points over 3 distinct traces: 3 misses, 3 hits.
-  EXPECT_EQ(runner.baseline_cache().misses(), 3u);
-  EXPECT_EQ(runner.baseline_cache().hits(), 3u);
+  EXPECT_EQ(session.baseline_cache().misses(), 3u);
+  EXPECT_EQ(session.baseline_cache().hits(), 3u);
 }
 
 TEST(BaselineCache, ConcurrentMissesRunBaselineOnce) {

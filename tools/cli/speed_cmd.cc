@@ -10,12 +10,12 @@
 //     is the event-driven scheduler's speedup). The two legs are timed
 //     best-of-3 INTERLEAVED — each round times both legs once — so one cold
 //     or contended stretch cannot poison a single mode's trajectory; both
-//     legs' RunResults must be bit-identical (a mismatch fails the tool).
+//     legs' outcomes must be bit-identical (a mismatch fails the tool).
 //  2. The Figure-10 sweep grid executed serially (jobs=1) and with FG_JOBS
 //     workers: wall clock for each, honest parallel speedup and efficiency.
-//  3. A bit-identity audit: every parallel RunResult (cycles, committed,
-//     detections, packets) must equal its serial counterpart, byte for byte.
-//     A mismatch makes the tool exit non-zero.
+//  3. A bit-identity audit: every parallel outcome (the full StatSnapshot
+//     plus the baseline cycles) must equal its serial counterpart, byte for
+//     byte. A mismatch makes the tool exit non-zero.
 //  4. A cycle-accounting report from the scheduler (stepped vs skipped
 //     cycles, skip-length histogram, per-domain bounds) so future perf work
 //     can see where simulated time goes.
@@ -36,7 +36,6 @@
 //                (best same-mode runs[] record, with a noise tolerance)
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -48,23 +47,16 @@
 
 #include "tools/cli/cli.h"
 
+#include "src/api/session.h"
 #include "src/common/run_history.h"
 #include "src/common/simctl.h"
 #include "src/common/thread_pool.h"
 #include "src/soc/figures.h"
-#include "src/soc/sweep.h"
 #include "src/store/faultfs.h"
 
 namespace {
 
 using namespace fg;
-
-double now_ms() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             clock::now().time_since_epoch())
-      .count();
-}
 
 struct HotLoopSpeed {
   std::string name;
@@ -77,36 +69,14 @@ struct HotLoopSpeed {
   soc::SchedStats sched{};
 };
 
-bool run_results_identical(const soc::RunResult& a, const soc::RunResult& b) {
-  if (a.cycles != b.cycles) return false;
-  if (a.committed != b.committed) return false;
-  if (a.packets != b.packets) return false;
-  if (a.spurious != b.spurious) return false;
-  if (a.detections.size() != b.detections.size()) return false;
-  for (size_t i = 0; i < a.detections.size(); ++i) {
-    const soc::DetectionRecord& da = a.detections[i];
-    const soc::DetectionRecord& db = b.detections[i];
-    if (da.attack_id != db.attack_id || da.engine != db.engine ||
-        da.commit_fast != db.commit_fast || da.detect_fast != db.detect_fast) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.stall_fractions.size(); ++i) {
-    if (a.stall_fractions[i] != b.stall_fractions[i]) return false;
-  }
-  return true;
+/// The one bit-identity rule of every audit below.
+bool outcomes_identical(const api::RunOutcome& a, const api::RunOutcome& b) {
+  return a.baseline_cycles == b.baseline_cycles &&
+         api::snapshots_equal(a.snapshot, b.snapshot);
 }
 
-/// One timed run_fireguard under the current scheduler mode; returns wall ms.
-double timed_run(const trace::WorkloadConfig& wl, const soc::SocConfig& sc,
-                 soc::RunResult* r) {
-  const double t0 = now_ms();
-  *r = soc::run_fireguard(wl, sc);
-  return now_ms() - t0;
-}
-
-HotLoopSpeed measure_hot_loop(const char* name, const trace::WorkloadConfig& wl,
-                              const soc::SocConfig& sc) {
+HotLoopSpeed measure_hot_loop(const char* name,
+                              const api::ExperimentSpec& spec) {
   HotLoopSpeed s;
   s.name = name;
 
@@ -119,45 +89,35 @@ HotLoopSpeed measure_hot_loop(const char* name, const trace::WorkloadConfig& wl,
   // FG_CYCLE_EXACT=1 must still govern the sweep).
   constexpr int kRounds = 3;
   const bool entry_mode = cycle_exact();
-  soc::RunResult r, rx;
+  api::RunOutcome r, rx;
   double exact_ms = 1e300;
   s.wall_ms = 1e300;
   for (int round = 0; round < kRounds; ++round) {
     set_cycle_exact(false);
-    s.wall_ms = std::min(s.wall_ms, timed_run(wl, sc, &r));
+    r = api::run_spec(spec);
+    s.wall_ms = std::min(s.wall_ms, r.wall_ms);
     set_cycle_exact(true);
-    exact_ms = std::min(exact_ms, timed_run(wl, sc, &rx));
+    rx = api::run_spec(spec);
+    exact_ms = std::min(exact_ms, rx.wall_ms);
     // Bit-identity is checked every round, not just once: a mode that is
     // only intermittently divergent must still fail the tool.
-    if (!run_results_identical(r, rx)) s.exact_identical = false;
+    if (!outcomes_identical(r, rx)) s.exact_identical = false;
   }
   set_cycle_exact(entry_mode);
 
-  s.sched = r.sched;
+  s.sched = r.result.sched;
   if (s.wall_ms > 0.0) {
-    s.sim_cycles_per_sec = static_cast<double>(r.cycles) / (s.wall_ms / 1000.0);
-    s.insts_per_sec = static_cast<double>(r.committed) / (s.wall_ms / 1000.0);
+    s.sim_cycles_per_sec =
+        static_cast<double>(r.result.cycles) / (s.wall_ms / 1000.0);
+    s.insts_per_sec =
+        static_cast<double>(r.result.committed) / (s.wall_ms / 1000.0);
   }
   if (exact_ms > 0.0) {
     s.exact_cycles_per_sec =
-        static_cast<double>(rx.cycles) / (exact_ms / 1000.0);
+        static_cast<double>(rx.result.cycles) / (exact_ms / 1000.0);
     s.event_speedup = exact_ms / s.wall_ms;
   }
   return s;
-}
-
-/// The Figure-10 grid, from the same definition bench_fig10_scalability
-/// registers (src/soc/figures.cc) — the measured grid cannot drift from the
-/// real one.
-void add_fig10_grid(soc::SweepRunner& runner, u64 n_insts, bool quick) {
-  for (soc::SweepPoint& p : soc::fig10_points(n_insts, quick)) {
-    runner.add(std::move(p));
-  }
-}
-
-bool results_identical(const soc::PointResult& a, const soc::PointResult& b) {
-  if (a.baseline_cycles != b.baseline_cycles) return false;
-  return run_results_identical(a.run, b.run);
 }
 
 void print_sched_report(const char* name, const soc::SchedStats& s) {
@@ -290,19 +250,17 @@ int speed_main(int argc, char** argv) {
   // the `event_speedup >= 1.5` acceptance bar is measured on.
   std::vector<HotLoopSpeed> hot;
   {
-    soc::SocConfig sc = soc::table2_soc();
-    sc.kernels = {soc::deploy(kernels::KernelKind::kPmc, 4)};
-    hot.push_back(measure_hot_loop(
-        "pmc_4ucores", soc::paper_workload("blackscholes", trace_len), sc));
-    sc.kernels = {soc::deploy(kernels::KernelKind::kAsan, 4)};
-    hot.push_back(measure_hot_loop(
-        "asan_4ucores", soc::paper_workload("blackscholes", trace_len), sc));
-  }
-  {
-    soc::SocConfig sc = soc::memstall_soc();
-    sc.kernels = {soc::deploy(kernels::KernelKind::kPmc, 4)};
-    hot.push_back(measure_hot_loop("memstall_4ucores",
-                                   soc::memstall_workload(trace_len), sc));
+    api::ExperimentSpec spec;
+    spec.workload = soc::paper_workload("blackscholes", trace_len);
+    spec.soc = soc::table2_soc();
+    spec.soc.kernels = {soc::deploy(kernels::KernelKind::kPmc, 4)};
+    hot.push_back(measure_hot_loop("pmc_4ucores", spec));
+    spec.soc.kernels = {soc::deploy(kernels::KernelKind::kAsan, 4)};
+    hot.push_back(measure_hot_loop("asan_4ucores", spec));
+    spec.workload = soc::memstall_workload(trace_len);
+    spec.soc = soc::memstall_soc();
+    spec.soc.kernels = {soc::deploy(kernels::KernelKind::kPmc, 4)};
+    hot.push_back(measure_hot_loop("memstall_4ucores", spec));
   }
   u32 mismatches = 0;
   for (const HotLoopSpeed& s : hot) {
@@ -316,17 +274,17 @@ int speed_main(int argc, char** argv) {
     if (!s.exact_identical) ++mismatches;
   }
 
-  // 2) Fig. 10 sweep, serial then parallel.
-  soc::SweepRunner serial(soc::SweepConfig{1});
-  add_fig10_grid(serial, trace_len, quick);
+  // 2) Fig. 10 sweep, serial then parallel — the same grid
+  // bench_fig10_scalability registers (api::fig10_points).
+  api::SimSession serial(api::fig10_points(trace_len, quick), {.jobs = 1});
   serial.run_all();
   std::printf("fig10 sweep serial  : %zu points, %.2f s\n", serial.n_points(),
               serial.wall_ms() / 1000.0);
 
-  soc::SweepRunner parallel(soc::SweepConfig{jobs});
-  add_fig10_grid(parallel, trace_len, quick);
+  api::SimSession parallel(api::fig10_points(trace_len, quick),
+                           {.jobs = jobs});
   parallel.run_all();
-  // The runner is the single owner of the jobs→workers capping rule.
+  // The session is the single owner of the jobs→workers capping rule.
   const u32 effective_workers = parallel.workers();
   const double speedup = parallel.wall_ms() > 0.0
                              ? serial.wall_ms() / parallel.wall_ms()
@@ -346,10 +304,10 @@ int speed_main(int argc, char** argv) {
           parallel.baseline_cache().inflight_waits()));
 
   // 3) Bit-identity audit: parallel vs serial, point by point.
-  for (u32 i = 0; i < parallel.n_points(); ++i) {
-    if (!results_identical(serial.result(i), parallel.result(i))) {
+  for (size_t i = 0; i < parallel.n_points(); ++i) {
+    if (!outcomes_identical(serial.results()[i], parallel.results()[i])) {
       std::fprintf(stderr, "MISMATCH at point %s\n",
-                   parallel.point(i).name.c_str());
+                   parallel.points()[i].name.c_str());
       ++mismatches;
     }
   }
@@ -359,8 +317,8 @@ int speed_main(int argc, char** argv) {
 
   // Aggregate sweep-wide scheduler accounting.
   soc::SchedStats sweep_sched{};
-  for (u32 i = 0; i < parallel.n_points(); ++i) {
-    const soc::SchedStats& s = parallel.result(i).run.sched;
+  for (const api::RunOutcome& o : parallel.results()) {
+    const soc::SchedStats& s = o.result.sched;
     sweep_sched.cycles_stepped += s.cycles_stepped;
     sweep_sched.cycles_skipped += s.cycles_skipped;
     sweep_sched.skips += s.skips;
