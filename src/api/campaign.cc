@@ -1,45 +1,10 @@
 #include "src/api/campaign.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <deque>
-#include <future>
-#include <thread>
-
-#include "src/common/json.h"
+#include "src/api/scheduler.h"
 #include "src/common/thread_pool.h"
 #include "src/soc/config_json.h"
-#include "src/store/faultfs.h"
-
-#if !defined(_WIN32)
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 namespace fg::api {
-
-namespace {
-
-double now_ms() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             clock::now().time_since_epoch())
-      .count();
-}
-
-void sleep_ms(double ms) {
-  if (ms <= 0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-u64 backoff_for(u64 base_ms, u32 attempt) {
-  return base_ms << std::min<u32>(attempt, 10);
-}
-
-}  // namespace
 
 std::string result_key(const ExperimentSpec& spec, bool with_baseline) {
   // Baseline attachment is part of the key: it changes the stored payload
@@ -74,66 +39,6 @@ std::string outcome_payload(RunOutcome o) {
   return outcome_json(o, 0);
 }
 
-PointExecutor::BaselineHooks store_baseline_hooks(store::ResultStore* store) {
-  PointExecutor::BaselineHooks h;
-  h.lookup = [store](const ExperimentSpec& s, Cycle* cycles) {
-    std::string payload;
-    if (store->get(baseline_key(s), &payload) !=
-        store::ResultStore::GetStatus::kHit) {
-      return false;
-    }
-    json::Value v;
-    if (!json::parse(payload, &v) || !v.is_object()) return false;
-    *cycles = v.get_u64("baseline_cycles", 0);
-    return *cycles != 0;
-  };
-  h.publish = [store](const ExperimentSpec& s, Cycle cycles) {
-    json::Value v = json::Value::object();
-    v.set("baseline_cycles", json::Value::of(cycles));
-    std::string err;
-    // Best effort: a failed baseline publish only costs a recompute in some
-    // later process, never correctness.
-    store->put(baseline_key(s), json::dump(v, 0), &err);
-  };
-  return h;
-}
-
-bool execute_point_to_store(const GridPoint& p, u64 fault_index, u32 attempt,
-                            bool with_baseline, store::ResultStore* store,
-                            std::string* payload, std::string* why) {
-  if (auto f = store::point_fault(fault_index, attempt)) {
-    switch (f->kind) {
-      case store::FaultKind::kCrash:
-        std::fprintf(stderr,
-                     "FG_FAULT: injected crash at point %llu attempt %u\n",
-                     static_cast<unsigned long long>(fault_index), attempt);
-        std::fflush(stderr);
-        std::_Exit(store::kFaultCrashExit);
-      case store::FaultKind::kHang:
-        // In isolate mode the watchdog SIGKILLs us mid-sleep; in-process we
-        // just stall, then proceed (no safe way to interrupt a thread).
-        sleep_ms(static_cast<double>(f->hang_ms));
-        break;
-      default:
-        *why = "injected_point_fail";
-        return false;
-    }
-  }
-  PointExecutor exec(with_baseline);
-  exec.set_baseline_hooks(store_baseline_hooks(store));
-  RunOutcome o = exec.execute(p);
-  std::string text = outcome_payload(std::move(o));
-  std::string err;
-  if (!store->put(result_key(p.spec, with_baseline), text, &err)) {
-    *why = "publish_failed";
-    std::fprintf(stderr, "fgsim: point %llu publish failed: %s\n",
-                 static_cast<unsigned long long>(fault_index), err.c_str());
-    return false;
-  }
-  if (payload != nullptr) *payload = std::move(text);
-  return true;
-}
-
 CampaignRunner::CampaignRunner(ExperimentSpec spec, CampaignConfig cfg)
     : spec_(std::move(spec)), cfg_(cfg) {}
 
@@ -151,12 +56,7 @@ bool CampaignRunner::init(std::string* err) {
   payloads_.assign(points_.size(), "");
   stats_ = {};
   stats_.points = points_.size();
-  const u32 jobs = cfg_.jobs > 0 ? cfg_.jobs : ThreadPool::default_jobs();
-  workers_ =
-      std::min(jobs, std::max<u32>(1, std::thread::hardware_concurrency()));
-#if defined(_WIN32)
-  cfg_.isolate = false;  // no fork; in-process mode only
-#endif
+  workers_ = ThreadPool::cap_jobs(cfg_.jobs);
   if (!store_.open(cfg_.store_dir, err)) return false;
   const std::string hash = campaign_hash(spec_, cfg_.with_baseline);
   if (!journal_.open(store_.campaigns_dir() + "/" + hash + ".journal", hash,
@@ -178,222 +78,60 @@ void CampaignRunner::emit(u32 index, u32 attempt, const char* what) {
   event_fn_(ev);
 }
 
-bool CampaignRunner::execute_and_publish(u32 index, u32 attempt,
-                                         std::string* why) {
-  std::string payload;
-  if (!execute_point_to_store(points_[index], index, attempt,
-                              cfg_.with_baseline, &store_, &payload, why)) {
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    payloads_[index] = std::move(payload);
-  }
-  return true;
-}
-
-void CampaignRunner::run_in_process(const std::vector<u32>& todo) {
-  auto run_point = [this](u32 index) {
-    for (u32 attempt = 0;; ++attempt) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        journal_.record_begin(index, attempt);
-      }
-      std::string why;
-      if (execute_and_publish(index, attempt, &why)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        journal_.record_done(index, /*cached=*/false);
-        ++stats_.executed;
-        ++completed_;
-        emit(index, attempt, "run");
-        return;
-      }
-      if (attempt + 1 >= cfg_.max_attempts) {
-        std::lock_guard<std::mutex> lock(mu_);
-        journal_.record_failed(index, why.empty() ? "failed" : why);
-        ++stats_.failed;
-        ++completed_;
-        emit(index, attempt, "fail");
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.retries;
-        emit(index, attempt, "retry");
-      }
-      sleep_ms(static_cast<double>(backoff_for(cfg_.backoff_ms, attempt)));
-    }
-  };
-  if (workers_ <= 1 || todo.size() <= 1) {
-    for (const u32 i : todo) run_point(i);
-    return;
-  }
-  ThreadPool pool(workers_);
-  std::vector<std::future<void>> futures;
-  futures.reserve(todo.size());
-  for (const u32 i : todo) {
-    futures.push_back(pool.submit([&run_point, i] { run_point(i); }));
-  }
-  for (auto& f : futures) f.get();
-}
-
-#if !defined(_WIN32)
-void CampaignRunner::run_isolated(const std::vector<u32>& todo) {
-  struct Pending {
-    u32 index;
-    u32 attempt;
-    double ready_ms;  // backoff gate; 0 = immediately
-  };
-  struct Running {
-    pid_t pid;
-    u32 index;
-    u32 attempt;
-    double deadline_ms;  // 0 = no watchdog
-    bool timed_out;
-  };
-  std::deque<Pending> queue;
-  for (const u32 i : todo) queue.push_back({i, 0, 0.0});
-  std::vector<Running> running;
-
-  auto fail_or_requeue = [&](u32 index, u32 attempt, const char* why,
-                             bool timed_out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (timed_out) ++stats_.timeouts;
-    if (attempt + 1 < cfg_.max_attempts) {
-      ++stats_.retries;
-      emit(index, attempt, timed_out ? "timeout" : "retry");
-      queue.push_back(
-          {index, attempt + 1,
-           now_ms() +
-               static_cast<double>(backoff_for(cfg_.backoff_ms, attempt))});
-    } else {
-      journal_.record_failed(index, why);
-      ++stats_.failed;
-      ++completed_;
-      emit(index, attempt, "fail");
-    }
-  };
-
-  while (!queue.empty() || !running.empty()) {
-    // Launch ready attempts into free slots.
-    for (size_t qi = 0; qi < queue.size() && running.size() < workers_;) {
-      if (queue[qi].ready_ms > now_ms()) {
-        ++qi;
-        continue;
-      }
-      const Pending p = queue[qi];
-      queue.erase(queue.begin() + static_cast<long>(qi));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        journal_.record_begin(p.index, p.attempt);
-      }
-      const pid_t pid = fork();
-      if (pid == 0) {
-        // Child: one attempt, then hard exit — no destructors, so the
-        // parent's journal stream and store stats are untouched.
-        std::string why;
-        const bool ok = execute_and_publish(p.index, p.attempt, &why);
-        std::_Exit(ok ? 0 : 13);
-      }
-      if (pid < 0) {
-        fail_or_requeue(p.index, p.attempt, "fork_failed", false);
-        continue;
-      }
-      const double deadline =
-          cfg_.point_timeout_s > 0
-              ? now_ms() + cfg_.point_timeout_s * 1000.0
-              : 0.0;
-      running.push_back({pid, p.index, p.attempt, deadline, false});
-    }
-
-    // Reap finished children; SIGKILL the ones past their deadline.
-    bool reaped = false;
-    for (size_t ri = 0; ri < running.size();) {
-      int st = 0;
-      const pid_t got = waitpid(running[ri].pid, &st, WNOHANG);
-      if (got == 0) {
-        if (running[ri].deadline_ms > 0 && !running[ri].timed_out &&
-            now_ms() > running[ri].deadline_ms) {
-          kill(running[ri].pid, SIGKILL);
-          running[ri].timed_out = true;  // reaped on a later poll
-        }
-        ++ri;
-        continue;
-      }
-      const Running r = running[ri];
-      running.erase(running.begin() + static_cast<long>(ri));
-      reaped = true;
-      const bool clean_exit = got > 0 && WIFEXITED(st) && WEXITSTATUS(st) == 0;
-      std::string payload;
-      // The store — not the exit code — is the source of truth: success
-      // means a validated entry exists (the child could die after publish;
-      // that still counts).
-      if (store_.get(point_key(r.index), &payload) ==
-          store::ResultStore::GetStatus::kHit) {
-        std::lock_guard<std::mutex> lock(mu_);
-        payloads_[r.index] = std::move(payload);
-        journal_.record_done(r.index, /*cached=*/false);
-        ++stats_.executed;
-        ++completed_;
-        emit(r.index, r.attempt, "run");
-        continue;
-      }
-      const char* why = "exit_nonzero";
-      if (r.timed_out) {
-        why = "timeout";
-      } else if (got > 0 && WIFEXITED(st) &&
-                 WEXITSTATUS(st) == store::kFaultCrashExit) {
-        why = "injected_crash";
-      } else if (got > 0 && WIFSIGNALED(st)) {
-        why = "killed";
-      } else if (clean_exit) {
-        why = "publish_lost";  // exit 0 but no entry: treat as a failure
-      }
-      fail_or_requeue(r.index, r.attempt, why, r.timed_out);
-    }
-
-    if (!running.empty()) {
-      if (!reaped) sleep_ms(2.0);
-    } else if (!queue.empty()) {
-      // Everything pending is in backoff: sleep until the earliest gate.
-      double earliest = queue.front().ready_ms;
-      for (const Pending& p : queue) earliest = std::min(earliest, p.ready_ms);
-      sleep_ms(std::min(earliest - now_ms(), 20.0));
-    }
-  }
-}
-#endif  // !_WIN32
-
 bool CampaignRunner::run(std::string* err) {
   if (!inited_ && !init(err)) return false;
-  // Phase 1: serve everything the store already has (dedupe + resume).
-  std::vector<u32> todo;
-  for (u32 i = 0; i < points_.size(); ++i) {
-    std::string payload;
-    if (store_.get(point_key(i), &payload) ==
-        store::ResultStore::GetStatus::kHit) {
-      std::lock_guard<std::mutex> lock(mu_);
-      payloads_[i] = std::move(payload);
-      ++stats_.from_store;
-      ++completed_;
-      if (!journal_.points()[i].done) journal_.record_done(i, /*cached=*/true);
-      emit(i, 0, "cache");
-    } else {
-      todo.push_back(i);
-    }
-  }
-  // Phase 2: execute the missing points.
-  if (!todo.empty()) {
+  std::unique_ptr<AttemptRunner> attempts;
 #if !defined(_WIN32)
-    if (cfg_.isolate) {
-      run_isolated(todo);
-    } else {
-      run_in_process(todo);
-    }
-#else
-    run_in_process(todo);
-#endif
+  if (cfg_.isolate) {
+    attempts = fork_attempt_runner(&store_, cfg_.point_timeout_s);
   }
+#endif
+  if (!attempts) attempts = thread_attempt_runner(&store_, workers_);
+  PointScheduler sched(&store_, std::move(attempts), workers_,
+                       cfg_.max_attempts, cfg_.backoff_ms);
+  sched.hooks().begin = [this](const PointRun& p) {
+    journal_.record_begin(p.index, p.attempts - 1);
+  };
+  sched.hooks().retry = [this](const PointRun& p, bool timed_out) {
+    emit(p.index, p.attempts - 1, timed_out ? "timeout" : "retry");
+  };
+  sched.hooks().resolve = [this](const PointRun& p) {
+    const bool done = p.state == PointState::kDone;
+    for (const auto& [sub, index] : p.waiters) {
+      if (done) {
+        journal_.record_done(index, /*cached=*/false);
+      } else {
+        journal_.record_failed(index, p.why);
+      }
+      ++completed_;
+      emit(index, p.attempts - 1,
+           !done ? "fail" : index == p.index ? "run" : "dedupe");
+    }
+  };
+
+  // The store answers what it already holds (dedupe across campaigns and
+  // resume); the scheduler runs the rest.
+  Submission& sub = sched.add_submission(1, spec_.name, points_,
+                                         cfg_.with_baseline, false);
+  for (u32 i = 0; i < points_.size(); ++i) {
+    if (sub.payloads[i].empty()) continue;
+    ++completed_;
+    if (!journal_.points()[i].done) journal_.record_done(i, /*cached=*/true);
+    emit(i, 0, "cache");
+  }
+  while (!sched.idle()) {
+    sched.step(now_ms());
+    if (!sched.idle()) sched.wait(now_ms());
+  }
+
+  const SchedulerStats& st = sched.stats();
+  stats_.from_store = sub.from_store;
+  stats_.deduped = sub.deduped;
+  stats_.executed = st.executed;
+  stats_.retries = st.retries;
+  stats_.timeouts = st.timeouts;
+  stats_.failed = st.failed_points;
+  payloads_ = std::move(sub.payloads);
   return true;
 }
 

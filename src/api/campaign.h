@@ -25,12 +25,16 @@
 //    attempts and failures across resumes; a torn final line — the worst a
 //    SIGKILL can do to it — is tolerated by the loader.
 //
+// A campaign is one submission on an api::PointScheduler (scheduler.h), the
+// same scheduler `fgsim serve` runs behind its socket: store hits first,
+// then in-flight dedupe (two grid points with one key — a repeated sweep
+// value — execute once), then forked or in-process attempts.
+//
 // Every recovery path above is exercised by fault injection (FG_FAULT, see
 // store/faultfs.h) in tests/campaign_test.cc rather than trusted.
 #pragma once
 
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,7 +47,8 @@ namespace fg::api {
 struct CampaignConfig {
   std::string store_dir;
   /// Concurrent points: forked children (isolate) or worker threads
-  /// (in-process). 0 = FG_JOBS env, else hardware concurrency.
+  /// (in-process). 0 = FG_JOBS env, else the usable CPUs; either way capped
+  /// at the usable CPUs (ThreadPool::cap_jobs).
   u32 jobs = 0;
   /// Attempts per point per campaign invocation (first try + retries).
   u32 max_attempts = 3;
@@ -53,18 +58,20 @@ struct CampaignConfig {
   /// Base retry backoff, doubled per subsequent attempt.
   u64 backoff_ms = 50;
   bool with_baseline = true;
-  /// Fork one child per point attempt (crash/hang isolation). Ignored — and
-  /// forced off — on platforms without fork.
+  /// Fork one child per point attempt (crash/hang isolation). Ignored on
+  /// platforms without fork.
   bool isolate = true;
 };
 
+/// points == from_store + deduped + executed + failed.
 struct CampaignStats {
   size_t points = 0;
   size_t from_store = 0;  // served by the store (dedupe + resume)
+  size_t deduped = 0;     // grid points sharing another point's key
   size_t executed = 0;    // simulated by this invocation
   size_t retries = 0;
   size_t timeouts = 0;    // watchdog kills (subset of retries/failures)
-  size_t failed = 0;      // points with no valid result after all attempts
+  size_t failed = 0;      // executions with no valid result after all attempts
 };
 
 /// Content-address key of one concrete point's outcome. `with_baseline` is
@@ -87,27 +94,12 @@ std::string campaign_hash(const ExperimentSpec& spec, bool with_baseline);
 /// resume boundaries.
 std::string outcome_payload(RunOutcome o);
 
-/// Baseline memoization hooks backed by a ResultStore (the durable layer
-/// under the in-memory BaselineCache): lookup consults
-/// baseline_key(spec), publish records a computed baseline best-effort.
-PointExecutor::BaselineHooks store_baseline_hooks(store::ResultStore* store);
-
-/// One point attempt against a durable store — the worker-side body shared
-/// by the campaign runner's forked children and the serve daemon's: consult
-/// the injected point faults (FG_FAULT ...@point:<fault_index>), simulate
-/// `p` via PointExecutor with store-backed baseline memoization, publish
-/// under result_key(p.spec, with_baseline). True when a validated entry is
-/// in the store; on failure *why carries a slug. `payload` (optional)
-/// receives the published payload.
-bool execute_point_to_store(const GridPoint& p, u64 fault_index, u32 attempt,
-                            bool with_baseline, store::ResultStore* store,
-                            std::string* payload, std::string* why);
-
 class CampaignRunner {
  public:
   /// Per-point lifecycle event, for progress reporting. `what` is one of
-  /// "cache" (served from store), "run" (executed + published), "retry",
-  /// "timeout" (watchdog kill), "fail" (attempts exhausted).
+  /// "cache" (served from store), "run" (executed + published), "dedupe"
+  /// (answered by another grid point's execution of the same key),
+  /// "retry", "timeout" (watchdog kill), "fail" (attempts exhausted).
   struct Event {
     u32 index = 0;
     u32 attempt = 0;
@@ -119,14 +111,15 @@ class CampaignRunner {
 
   CampaignRunner(ExperimentSpec spec, CampaignConfig cfg);
 
-  /// Registered callback runs under an internal mutex; keep it short.
+  /// The callback runs on the thread that called run(); keep it short.
   void on_event(EventFn fn) { event_fn_ = std::move(fn); }
 
   /// Expand the grid, open the store, open/replay the journal. False with
   /// *err on an invalid sweep axis or store/journal I/O failure.
   bool init(std::string* err);
 
-  /// Run every point not already in the store. Returns false only on
+  /// Run every point not already in the store, as one submission on a
+  /// PointScheduler. Returns false only on
   /// environment errors (store unusable); per-point failures are counted in
   /// stats().failed and leave that point's payload empty.
   bool run(std::string* err);
@@ -144,13 +137,6 @@ class CampaignRunner {
 
  private:
   void emit(u32 index, u32 attempt, const char* what);
-  /// One in-child / in-process point attempt: consult the injected point
-  /// faults, simulate, publish. True when a validated entry is in the store.
-  bool execute_and_publish(u32 index, u32 attempt, std::string* why);
-  void run_in_process(const std::vector<u32>& todo);
-#if !defined(_WIN32)
-  void run_isolated(const std::vector<u32>& todo);
-#endif
 
   ExperimentSpec spec_;
   CampaignConfig cfg_;
@@ -161,7 +147,6 @@ class CampaignRunner {
   store::ResultStore store_;
   store::CampaignJournal journal_;
   EventFn event_fn_;
-  std::mutex mu_;  // journal appends, stats, events (worker threads)
   size_t completed_ = 0;
   bool inited_ = false;
 };

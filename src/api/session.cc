@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <thread>
 
 #include "src/baseline/instrument.h"
 #include "src/common/check.h"
@@ -150,9 +149,7 @@ SimSession::SimSession(const ExperimentSpec& spec, SessionConfig cfg)
 SimSession::SimSession(std::vector<GridPoint> points, SessionConfig cfg)
     : points_(std::move(points)), executor_(cfg.with_baseline) {
   results_.resize(points_.size());
-  const u32 jobs = cfg.jobs > 0 ? cfg.jobs : ThreadPool::default_jobs();
-  workers_ = std::min(
-      jobs, std::max<u32>(1, std::thread::hardware_concurrency()));
+  workers_ = ThreadPool::cap_jobs(cfg.jobs);
 }
 
 RunOutcome SimSession::execute(u32 index) {

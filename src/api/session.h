@@ -46,8 +46,8 @@ struct Progress {
 };
 
 struct SessionConfig {
-  /// Worker threads for run_all: 0 = FG_JOBS env, else hardware
-  /// concurrency; either way capped at the machine's hardware concurrency.
+  /// Worker threads for run_all: 0 = FG_JOBS env, else the usable CPUs;
+  /// either way capped at the usable CPUs (ThreadPool::cap_jobs).
   u32 jobs = 0;
   /// Run the unmonitored baseline (memoized) and fill slowdown. Ignored
   /// for mode == baseline specs, whose run IS the baseline.
@@ -112,8 +112,8 @@ class SimSession {
 
   const std::vector<RunOutcome>& results() const { return results_; }
   soc::BaselineCache& baseline_cache() { return executor_.baseline_cache(); }
-  /// Worker threads run_all uses: the requested jobs capped at hardware
-  /// concurrency (results never depend on it).
+  /// Worker threads run_all uses: the requested jobs capped at the usable
+  /// CPUs (results never depend on it).
   u32 workers() const { return workers_; }
   /// Whole-grid wall clock of run_all in milliseconds.
   double wall_ms() const { return wall_ms_; }

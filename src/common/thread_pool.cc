@@ -1,9 +1,26 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "src/common/env.h"
 
 namespace fg {
+
+u32 usable_cpus() {
+#if defined(__linux__)
+  // hardware_concurrency() counts every host core even under taskset.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<u32>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max<u32>(1, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(u32 n_threads) {
   const u32 n = std::max<u32>(1, n_threads);
@@ -23,13 +40,12 @@ ThreadPool::~ThreadPool() {
 }
 
 u32 ThreadPool::default_jobs() {
-  const char* v = std::getenv("FG_JOBS");
-  if (v != nullptr && *v != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<u32>(n);
-  }
-  const u32 hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  const u32 n = env_u32_or("FG_JOBS", 0);
+  return n > 0 ? n : usable_cpus();
+}
+
+u32 ThreadPool::cap_jobs(u32 requested) {
+  return std::min(requested > 0 ? requested : default_jobs(), usable_cpus());
 }
 
 void ThreadPool::worker_loop() {

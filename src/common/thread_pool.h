@@ -22,6 +22,10 @@
 
 namespace fg {
 
+/// CPUs this process may run on: the size of its affinity mask (taskset,
+/// cgroup cpusets), else std::thread::hardware_concurrency(), else 1.
+u32 usable_cpus();
+
 class ThreadPool {
  public:
   /// Spawns `n_threads` workers (clamped to >= 1). The pool never grows.
@@ -32,8 +36,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Job count from the environment: FG_JOBS if set and positive, else
-  /// std::thread::hardware_concurrency() (else 1).
+  /// usable_cpus(). A malformed FG_JOBS (e.g. "4x") aborts naming it.
   static u32 default_jobs();
+
+  /// The one worker-count rule of every pool and point scheduler:
+  /// `requested` (0 = default_jobs()) capped at usable_cpus().
+  static u32 cap_jobs(u32 requested);
 
   u32 size() const { return static_cast<u32>(workers_.size()); }
 

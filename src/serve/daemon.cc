@@ -4,34 +4,26 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
-#include "src/api/campaign.h"
+#include "src/common/thread_pool.h"
 #include "src/store/faultfs.h"
 
 namespace fg::serve {
 
-namespace {
+using api::now_ms;
+using api::Submission;
 
-double now_ms() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             clock::now().time_since_epoch())
-      .count();
-}
+namespace {
 
 std::string journal_file(const std::string& dir, u64 id) {
   char name[32];
@@ -42,16 +34,34 @@ std::string journal_file(const std::string& dir, u64 id) {
 
 }  // namespace
 
-ServeDaemon::ServeDaemon(ServeConfig cfg) : cfg_(std::move(cfg)) {}
+ServeDaemon::ServeDaemon(ServeConfig cfg)
+    : cfg_(std::move(cfg)),
+      sched_(&store_,
+             api::fork_attempt_runner(&store_, cfg_.point_timeout_s,
+                                      [this] { close_sockets(); }),
+             ThreadPool::cap_jobs(cfg_.workers), cfg_.max_attempts,
+             cfg_.backoff_ms) {
+  sched_.hooks().resolve = [this](const api::PointRun& p) {
+    if (!cfg_.quiet && p.state == api::PointState::kDone) {
+      std::printf("fgsim serve: executed %s (sub %llu)\n",
+                  p.point.name.c_str(), static_cast<unsigned long long>(p.sub));
+    }
+  };
+}
 
 ServeDaemon::~ServeDaemon() {
+  const bool listening = listen_fd_ >= 0;
+  close_sockets();
+  if (listening) ::unlink(cfg_.socket_path.c_str());
+}
+
+void ServeDaemon::close_sockets() {
   for (Conn& c : conns_) {
     if (c.fd >= 0) ::close(c.fd);
+    c.fd = -1;
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    ::unlink(cfg_.socket_path.c_str());
-  }
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 std::string ServeDaemon::journal_dir() const {
@@ -123,10 +133,6 @@ bool ServeDaemon::init(std::string* err) {
   }
   if (!store_.open(cfg_.store_dir, err)) return false;
   if (!store::make_dirs(journal_dir(), err)) return false;
-  workers_ = cfg_.workers > 0
-                 ? cfg_.workers
-                 : std::max<u32>(1, std::thread::hardware_concurrency());
-  slots_.assign(workers_, Worker{});
   if (!bind_socket(err)) return false;
   replay_journal();
   inited_ = true;
@@ -207,120 +213,22 @@ u64 ServeDaemon::accept_submission(const Request& req, bool replayed,
     }
   }
 
-  std::vector<std::string> keys(points.size());
-  std::vector<std::string> resolved(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    keys[i] = api::result_key(points[i].spec, req.with_baseline);
-    std::string payload;
-    if (store_.get(keys[i], &payload) == store::ResultStore::GetStatus::kHit) {
-      resolved[i] = std::move(payload);
-    }
-  }
   const std::string name = !req.name.empty() ? req.name : req.spec.name;
-  Submission& sub =
-      queue_.add_submission(id, name, std::move(points), std::move(keys),
-                            std::move(resolved), req.with_baseline, replayed);
-  *out = &sub;
+  *out = &sched_.add_submission(id, name, points, req.with_baseline, replayed);
   return id;
 }
 
-void ServeDaemon::launch_ready_workers() {
-  const double now = now_ms();
-  for (Worker& w : slots_) {
-    if (w.pid >= 0) continue;
-    PointRun* p = queue_.take_next(now, w.last_sub);
-    if (p == nullptr) return;
-    const u64 sub_id = p->waiters.empty() ? 0 : p->waiters.front().first;
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      // Child: sever the daemon's descriptors, run one attempt, hard-exit
-      // (no destructors — the parent's socket and journal state stay
-      // untouched). The store — not this exit code — is the source of
-      // truth for success.
-      ::close(listen_fd_);
-      for (Conn& c : conns_) {
-        if (c.fd >= 0) ::close(c.fd);
-      }
-      std::string why;
-      const bool ok = api::execute_point_to_store(
-          p->point, p->fault_index, p->attempts - 1, p->with_baseline, &store_,
-          /*payload=*/nullptr, &why);
-      std::_Exit(ok ? 0 : 13);
-    }
-    if (pid < 0) {
-      for (const u64 done : queue_.fail_attempt(p, "fork_failed", false,
-                                                cfg_.max_attempts,
-                                                cfg_.backoff_ms, now)) {
-        finish_submission(done);
-      }
-      continue;
-    }
-    w.pid = pid;
-    w.key = p->key;
-    w.sub = sub_id;
-    w.deadline_ms =
-        cfg_.point_timeout_s > 0 ? now + cfg_.point_timeout_s * 1000.0 : 0.0;
-    w.timed_out = false;
-  }
-}
-
-void ServeDaemon::reap_workers() {
-  const double now = now_ms();
-  for (Worker& w : slots_) {
-    if (w.pid < 0) continue;
-    if (w.deadline_ms > 0 && !w.timed_out && now > w.deadline_ms) {
-      ::kill(w.pid, SIGKILL);  // reaped on a later pass
-      w.timed_out = true;
-    }
-    int st = 0;
-    const pid_t got = ::waitpid(w.pid, &st, WNOHANG);
-    if (got == 0) continue;
-    PointRun* p = queue_.find_point(w.key);
-    const u64 finished_sub = w.sub;
-    const bool timed_out = w.timed_out;
-    w.pid = -1;
-    w.key.clear();
-    w.last_sub = finished_sub;
-    if (p == nullptr || p->state != PointState::kRunning) continue;
-
-    std::string payload;
-    std::vector<u64> done_subs;
-    if (store_.get(p->key, &payload) == store::ResultStore::GetStatus::kHit) {
-      const std::string point_name = p->point.name;
-      done_subs = queue_.complete_point(p, payload);  // frees *p
-      if (!cfg_.quiet) {
-        std::printf("fgsim serve: executed %s (sub %llu)\n",
-                    point_name.c_str(),
-                    static_cast<unsigned long long>(finished_sub));
-      }
-    } else {
-      const bool clean_exit =
-          got > 0 && WIFEXITED(st) && WEXITSTATUS(st) == 0;
-      const char* why = "exit_nonzero";
-      if (timed_out) {
-        why = "timeout";
-      } else if (got > 0 && WIFEXITED(st) &&
-                 WEXITSTATUS(st) == store::kFaultCrashExit) {
-        why = "injected_crash";
-      } else if (got > 0 && WIFSIGNALED(st)) {
-        why = "killed";
-      } else if (clean_exit) {
-        why = "publish_lost";  // exit 0 but no entry: treat as a failure
-      }
-      done_subs = queue_.fail_attempt(p, why, timed_out, cfg_.max_attempts,
-                                      cfg_.backoff_ms, now);
-    }
-    for (const u64 id : done_subs) finish_submission(id);
-  }
-}
-
 void ServeDaemon::finish_submission(u64 id) {
-  Submission* sub = queue_.find(id);
+  Submission* sub = sched_.find(id);
   if (sub == nullptr || sub->finalized) return;
   sub->finalized = true;
-  if (!sub->cancelled) ++queue_.stats().submissions_completed;
+  if (!sub->cancelled) ++sched_.stats().submissions_completed;
   store::remove_file(journal_file(journal_dir(), id));
-  answer_waiters(id);
+  for (Conn& c : conns_) {  // parked `submit --wait` clients
+    if (c.fd < 0 || c.wait_sub != id) continue;
+    c.wait_sub = 0;
+    send(c, ok_response(submission_json(*sub, c.want_results)));
+  }
   if (!cfg_.quiet) {
     std::printf(
         "fgsim serve: submission %llu %s: %zu points, %zu from store, %zu "
@@ -360,7 +268,7 @@ json::Value ServeDaemon::submission_json(const Submission& sub,
 }
 
 json::Value ServeDaemon::stats_json() const {
-  const ServeStats& s = queue_.stats();
+  const api::SchedulerStats& s = sched_.stats();
   json::Value st = json::Value::object();
   st.set("submissions_accepted", json::Value::of(s.submissions_accepted));
   st.set("submissions_completed", json::Value::of(s.submissions_completed));
@@ -375,16 +283,17 @@ json::Value ServeDaemon::stats_json() const {
   st.set("failed_points", json::Value::of(s.failed_points));
   st.set("cancelled_points", json::Value::of(s.cancelled_points));
   st.set("steals", json::Value::of(s.steals));
-  st.set("queue_depth", json::Value::of(queue_.queue_depth()));
-  st.set("running", json::Value::of(queue_.running()));
+  st.set("queue_depth", json::Value::of(sched_.queue_depth()));
+  st.set("running", json::Value::of(sched_.running()));
 
   json::Value workers = json::Value::array();
-  for (const Worker& w : slots_) {
+  for (u32 i = 0; i < sched_.workers(); ++i) {
+    const api::PointRun* p = sched_.slot_point(i);
     json::Value wv = json::Value::object();
-    wv.set("state", json::Value::of_str(w.pid >= 0 ? "running" : "idle"));
-    if (w.pid >= 0) {
-      wv.set("sub", json::Value::of(w.sub));
-      wv.set("key", json::Value::of_str(w.key.substr(0, 48)));
+    wv.set("state", json::Value::of_str(p != nullptr ? "running" : "idle"));
+    if (p != nullptr) {
+      wv.set("sub", json::Value::of(p->sub));
+      wv.set("key", json::Value::of_str(p->key->substr(0, 48)));
     }
     workers.push(std::move(wv));
   }
@@ -404,24 +313,14 @@ json::Value ServeDaemon::stats_json() const {
   return v;
 }
 
-void ServeDaemon::answer_waiters(u64 sub_id) {
-  Submission* sub = queue_.find(sub_id);
-  if (sub == nullptr) return;
-  for (Conn& c : conns_) {
-    if (c.fd < 0 || c.wait_sub != sub_id) continue;
-    c.wait_sub = 0;
-    send(c, ok_response(submission_json(*sub, c.want_results)));
-  }
-}
-
 void ServeDaemon::check_drain_waiters() {
-  if (!draining_ || !queue_.idle()) return;
+  if (!draining_ || !sched_.idle()) return;
   for (Conn& c : conns_) {
     if (c.fd < 0 || !c.drain_wait) continue;
     c.drain_wait = false;
     json::Value v = json::Value::object();
     v.set("drained", json::Value::of_bool(true));
-    v.set("failed_points", json::Value::of(queue_.stats().failed_points));
+    v.set("failed_points", json::Value::of(sched_.stats().failed_points));
     send(c, ok_response(std::move(v)));
   }
 }
@@ -468,7 +367,7 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
     }
     case RequestKind::kStatus: {
       if (req.has_id) {
-        Submission* sub = queue_.find(req.id);
+        Submission* sub = sched_.find(req.id);
         if (sub == nullptr) {
           send(c, error_response("status: unknown submission id " +
                                  std::to_string(req.id)));
@@ -478,7 +377,7 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
         return;
       }
       json::Value jobs = json::Value::array();
-      for (const auto& [id, sub] : queue_.submissions()) {
+      for (const auto& [id, sub] : sched_.submissions()) {
         jobs.push(submission_json(sub, false));
       }
       json::Value v = json::Value::object();
@@ -488,18 +387,13 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
       return;
     }
     case RequestKind::kCancel: {
-      const size_t dropped = queue_.cancel(req.id);
+      const size_t dropped = sched_.cancel(req.id);
       if (dropped == static_cast<size_t>(-1)) {
         send(c, error_response("cancel: unknown submission id " +
                                std::to_string(req.id)));
         return;
       }
-      Submission* sub = queue_.find(req.id);
-      if (sub != nullptr && !sub->finalized) {
-        sub->finalized = true;
-        store::remove_file(journal_file(journal_dir(), req.id));
-        answer_waiters(req.id);  // a parked waiter learns of the cancel
-      }
+      finish_submission(req.id);  // a parked waiter learns of the cancel
       json::Value v = json::Value::object();
       v.set("id", json::Value::of(req.id));
       v.set("cancelled_pending", json::Value::of(dropped));
@@ -511,14 +405,8 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
       return;
     case RequestKind::kDrain: {
       draining_ = true;
-      if (queue_.idle()) {
-        json::Value v = json::Value::object();
-        v.set("drained", json::Value::of_bool(true));
-        v.set("failed_points", json::Value::of(queue_.stats().failed_points));
-        send(c, ok_response(std::move(v)));
-      } else {
-        c.drain_wait = true;  // answered once the backlog is empty
-      }
+      c.drain_wait = true;  // answered once the backlog is empty
+      check_drain_waiters();
       return;
     }
     case RequestKind::kShutdown: {
@@ -570,20 +458,20 @@ bool ServeDaemon::run(std::string* err) {
   if (!inited_ && !init(err)) return false;
   if (!cfg_.quiet) {
     std::printf("fgsim serve: listening on %s, store %s, %u workers\n",
-                cfg_.socket_path.c_str(), cfg_.store_dir.c_str(), workers_);
+                cfg_.socket_path.c_str(), cfg_.store_dir.c_str(), workers());
     std::fflush(stdout);
   }
   while (!stop_.load()) {
-    launch_ready_workers();
-    reap_workers();
+    for (const u64 id : sched_.step(now_ms())) finish_submission(id);
     check_drain_waiters();
 
-    // Poll timeout: tight while children run (their exit does not wake
-    // poll), the backoff gate when retries are pending, lazy when idle.
+    // Poll timeout: the reap cadence while children run (their exit does
+    // not wake poll), the backoff gate when retries are pending, lazy when
+    // idle.
     int timeout = 200;
-    if (queue_.running() > 0) {
-      timeout = 10;
-    } else if (const double ready = queue_.next_ready_ms(); ready > 0) {
+    if (sched_.running() > 0) {
+      timeout = api::PointScheduler::kReapMs;
+    } else if (const double ready = sched_.next_ready_ms(); ready > 0) {
       timeout = std::clamp(static_cast<int>(ready - now_ms()) + 1, 1, 50);
     }
 
@@ -611,7 +499,7 @@ bool ServeDaemon::run(std::string* err) {
     }
 
     // Walk the poll snapshot by FD VALUE, not index: handling a request can
-    // close other connections (answer_waiters to a dead client), and a
+    // close other connections (an answer to a dead client), and a
     // positional walk over a mutated conns_ would read sockets poll never
     // flagged — a blocking recv on an idle peer. Closed conns are only
     // marked (fd = -1) here and swept below, so fd numbers cannot be
@@ -643,22 +531,12 @@ bool ServeDaemon::run(std::string* err) {
 
   // Clean stop: SIGKILL in-flight children (their submissions stay
   // journaled; unpublished points re-execute on the next start) and reap.
-  for (Worker& w : slots_) {
-    if (w.pid < 0) continue;
-    ::kill(w.pid, SIGKILL);
-    int st = 0;
-    ::waitpid(w.pid, &st, 0);
-    w.pid = -1;
-  }
-  for (Conn& c : conns_) {
-    if (c.fd >= 0) ::close(c.fd);
-  }
+  sched_.stop();
+  close_sockets();
   conns_.clear();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   ::unlink(cfg_.socket_path.c_str());
   if (!cfg_.quiet) {
-    const ServeStats& s = queue_.stats();
+    const api::SchedulerStats& s = sched_.stats();
     std::printf(
         "fgsim serve: stopped — %llu submissions, %llu store hits, %llu "
         "dedupe hits, %llu executed, %llu failed\n",

@@ -5,10 +5,11 @@
 // the canonical result_key); the daemon answers already-published points
 // straight from the store, attaches duplicate in-flight points to the one
 // execution (two clients submitting the same point get one simulation and
-// two answers), and schedules the rest onto a pool of forked workers with
-// the campaign layer's watchdog + bounded-retry machinery. Idle workers
-// drain the global backlog round-robin across submissions (work stealing),
-// so a small submission never queues behind a giant one.
+// two answers), and schedules the rest onto a pool of forked workers. All of
+// that is api::PointScheduler (src/api/scheduler.h) — the same scheduler,
+// watchdog and bounded retry `fgsim campaign` runs — so idle workers drain
+// the global backlog round-robin across submissions (work stealing) and a
+// small submission never queues behind a giant one.
 //
 // Crash safety: every accepted submission is journaled as an atomic
 // faultfs-published file under <store>/serve/queue/ before it is
@@ -22,19 +23,19 @@
 // campaign` (and exercised by the same FG_FAULT machinery).
 //
 // Concurrency model: ONE event-loop thread (poll over the listen socket and
-// client connections, waitpid(WNOHANG) over workers). Simulation happens in
-// forked children only; nothing in the daemon needs a lock. run() blocks
-// until a shutdown request, request_stop() (signal handlers), or a fatal
-// socket error.
+// client connections; the scheduler reaps forked workers with WNOHANG every
+// PointScheduler::kReapMs while any run). Simulation happens in forked
+// children only; nothing in the daemon needs a lock. run() blocks until a
+// shutdown request, request_stop() (signal handlers), or a fatal socket
+// error.
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "src/api/scheduler.h"
 #include "src/serve/protocol.h"
-#include "src/serve/queue.h"
 #include "src/store/result_store.h"
 
 namespace fg::serve {
@@ -42,7 +43,8 @@ namespace fg::serve {
 struct ServeConfig {
   std::string store_dir;
   std::string socket_path;
-  /// Forked worker slots. 0 = hardware concurrency.
+  /// Forked worker slots. 0 = FG_JOBS env, else the usable CPUs; either
+  /// way capped at the usable CPUs (ThreadPool::cap_jobs).
   u32 workers = 0;
   /// Attempts per point before it counts as failed.
   u32 max_attempts = 3;
@@ -75,9 +77,7 @@ class ServeDaemon {
   /// exits at its next wakeup, leaving journaled submissions for a restart.
   void request_stop() { stop_.store(true); }
 
-  const ServeConfig& config() const { return cfg_; }
-  u32 workers() const { return workers_; }
-  const ServeStats& stats() const { return queue_.stats(); }
+  u32 workers() const { return sched_.workers(); }
   /// <store>/serve/queue — one atomic JSON file per unfinished submission.
   std::string journal_dir() const;
 
@@ -90,28 +90,23 @@ class ServeDaemon {
     bool want_results = false;
     bool drain_wait = false;
   };
-  struct Worker {
-    pid_t pid = -1;           // -1 = idle slot
-    std::string key;          // the PointRun being executed
-    u64 sub = 0;              // submission whose backlog the point came from
-    u64 last_sub = 0;         // for the steal counter
-    double deadline_ms = 0;   // watchdog; 0 = none
-    bool timed_out = false;
-  };
 
   bool bind_socket(std::string* err);
   void replay_journal();
   u64 accept_submission(const Request& req, bool replayed, u64 forced_id,
-                        Submission** out, std::string* err);
-  void launch_ready_workers();
-  void reap_workers();
+                        api::Submission** out, std::string* err);
+  /// Close the listen socket and every client connection (in a forked
+  /// worker, before it simulates).
+  void close_sockets();
+  /// Finalize a completed or cancelled submission: drop its journal file
+  /// and answer the clients parked on it.
   void finish_submission(u64 id);
-  void answer_waiters(u64 sub_id);
   void check_drain_waiters();
 
   void handle_line(Conn& c, const std::string& line);
   void handle_request(Conn& c, const Request& req);
-  json::Value submission_json(const Submission& sub, bool with_results) const;
+  json::Value submission_json(const api::Submission& sub,
+                              bool with_results) const;
   json::Value stats_json() const;
 
   /// Queue `text` as a frame on the connection (best effort; a dead client
@@ -123,10 +118,8 @@ class ServeDaemon {
   void sweep_closed_conns();
 
   ServeConfig cfg_;
-  u32 workers_ = 1;
   store::ResultStore store_;
-  SubmissionQueue queue_;
-  std::vector<Worker> slots_;
+  api::PointScheduler sched_;
   std::vector<Conn> conns_;
   int listen_fd_ = -1;
   u64 next_id_ = 1;

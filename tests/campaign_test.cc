@@ -224,6 +224,30 @@ TEST_F(CampaignTest, KilledParallelCampaignResumesBitIdenticalWithZeroReruns) {
   kill_and_resume(4);
 }
 
+// A sweep axis that repeats a value gives two grid points one result key:
+// the key executes once, and both indices are journaled done with the
+// payload.
+TEST_F(CampaignTest, RepeatedAxisValueExecutesOnce) {
+  ExperimentSpec spec = tiny_spec("repeat");
+  spec.sweep = {{"seed", {"1", "2", "1"}}};
+  CampaignRunner runner(spec, quick_cfg("store"));
+  size_t dedupe_events = 0;
+  runner.on_event([&](const CampaignRunner::Event& ev) {
+    dedupe_events += std::string(ev.what) == "dedupe" ? 1 : 0;
+  });
+  std::string err;
+  ASSERT_TRUE(runner.run(&err)) << err;
+  const CampaignStats& st = runner.stats();
+  EXPECT_EQ(st.points, 3u);
+  EXPECT_EQ(st.executed, 2u);
+  EXPECT_EQ(st.deduped, 1u);
+  EXPECT_EQ(dedupe_events, 1u);
+  EXPECT_EQ(st.points, st.from_store + st.deduped + st.executed + st.failed);
+  EXPECT_FALSE(runner.payloads()[0].empty());
+  EXPECT_EQ(runner.payloads()[0], runner.payloads()[2]);
+  for (const auto& p : runner.journal().points()) EXPECT_TRUE(p.done);
+}
+
 TEST_F(CampaignTest, CorruptEntryIsQuarantinedAndRecomputed) {
   ExperimentSpec spec = tiny_spec("corrupt");
   spec.sweep = {{"seed", {"1", "2", "3"}}};

@@ -8,13 +8,14 @@
 #include <vector>
 
 #include "src/api/session.h"
+#include "src/common/thread_pool.h"
 #include "src/soc/experiment.h"
 #include "src/soc/figures.h"
 
 namespace fg::soc {
 namespace {
 
-u32 hw() { return std::max<u32>(1, std::thread::hardware_concurrency()); }
+u32 hw() { return usable_cpus(); }
 
 /// Requesting more jobs than the machine has cores must cap the worker
 /// count at hardware concurrency.

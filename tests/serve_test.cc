@@ -28,6 +28,9 @@ TEST(Serve, RequiresPosix) {
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include <chrono>
 #include <cstdlib>
@@ -272,6 +275,11 @@ TEST_F(ServeTest, ConcurrentOverlappingClientsExecuteEachPointOnce) {
 // SIGKILL the daemon mid-campaign; a restart on the same store replays the
 // journaled submission and completes it with zero re-executions.
 TEST_F(ServeTest, KillAndRestartResumesQueueWithZeroReexecution) {
+#if defined(__linux__)
+  // Adopt the daemon's workers when it dies, so the one still publishing
+  // can be waited out before the store is counted.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+#endif
   spawn_daemon(/*workers=*/1);
   const api::ExperimentSpec spec = sweep_spec(
       "doomed", {"1", "2", "3", "4", "5", "6", "7", "8", "9", "10"});
@@ -286,10 +294,16 @@ TEST_F(ServeTest, KillAndRestartResumesQueueWithZeroReexecution) {
     ASSERT_GT(id, 0u);
     EXPECT_EQ(ack.get_u64("points"), 10u);
   }
-  // Let some (possibly zero, possibly all) points publish, then murder the
-  // daemon with no warning.
-  sleep_ms(150);
+  // Let the first point publish, then murder the daemon with no warning
+  // while the rest are still queued behind its one worker. (A fixed sleep
+  // cannot land mid-run on every host: the whole grid takes tens of ms.)
+  for (int waited = 0;
+       waited < 10000 && count_store_objects(store_dir()) == 0; ++waited) {
+    sleep_ms(1);
+  }
   kill_daemon_hard();
+  while (::waitpid(-1, nullptr, 0) > 0) {
+  }
   const u64 published = count_store_objects(store_dir());
 
   // The journal survived; a fresh daemon resumes into the same queue (and

@@ -8,6 +8,10 @@
 #include <stdexcept>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace fg {
 namespace {
 
@@ -68,6 +72,41 @@ TEST(ThreadPool, DefaultJobsHonorsEnv) {
   ::unsetenv("FG_JOBS");
   EXPECT_GE(ThreadPool::default_jobs(), 1u);
 }
+
+TEST(ThreadPool, DefaultJobsRejectsMalformedEnv) {
+  ::setenv("FG_JOBS", "4x", 1);
+  EXPECT_DEATH(ThreadPool::default_jobs(), "FG_JOBS");
+  ::unsetenv("FG_JOBS");
+}
+
+TEST(ThreadPool, CapJobsNeverExceedsUsableCpus) {
+  ::unsetenv("FG_JOBS");
+  EXPECT_EQ(ThreadPool::cap_jobs(0), usable_cpus());
+  EXPECT_EQ(ThreadPool::cap_jobs(usable_cpus() + 5), usable_cpus());
+  EXPECT_EQ(ThreadPool::cap_jobs(1), 1u);
+}
+
+#if defined(__linux__)
+// Pinned to one CPU (as under `taskset -c 0`), the pools must size to one
+// worker even though the host has more cores.
+TEST(ThreadPool, UsableCpusFollowsAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(usable_cpus(), static_cast<u32>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const u32 pinned = usable_cpus();
+  const u32 capped = ThreadPool::cap_jobs(8);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(capped, 1u);
+}
+#endif
 
 TEST(ThreadPool, DestructorDrainsQueue) {
   std::atomic<int> count{0};

@@ -214,9 +214,9 @@ int campaign_main(int argc, char** argv) {
   const api::CampaignStats& st = runner.stats();
   std::printf(
       "campaign done: %zu points — %zu from store, %zu executed, %zu "
-      "retries, %zu timeouts, %zu failed\n",
+      "retries, %zu timeouts, %zu failed, %zu deduped\n",
       st.points, st.from_store, st.executed, st.retries, st.timeouts,
-      st.failed);
+      st.failed, st.deduped);
 
   if (!json_out.empty()) {
     std::ofstream out(json_out);

@@ -33,8 +33,8 @@ void usage() {
       "fgsim serve — batch experiment daemon over a durable result store\n"
       "  --store DIR         result store directory (created if absent)\n"
       "  --socket PATH       Unix-domain socket to listen on\n"
-      "  --workers=N         forked worker slots (default: hardware "
-      "concurrency)\n"
+      "  --workers=N         forked worker slots (default FG_JOBS, else hw; "
+      "capped at hw)\n"
       "  --max-attempts=N    attempts per point before it counts as failed "
       "(default 3)\n"
       "  --timeout=SECS      per-point wall-clock watchdog (default off)\n"

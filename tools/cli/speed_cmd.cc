@@ -42,7 +42,6 @@
 #include <cstring>
 #include <ctime>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tools/cli/cli.h"
@@ -237,7 +236,7 @@ int speed_main(int argc, char** argv) {
                  moved.c_str());
   }
 
-  const u32 hw = std::max<u32>(1, std::thread::hardware_concurrency());
+  const u32 hw = usable_cpus();
   std::printf("fgsim speed: trace_len=%llu jobs=%u (hw %u)%s\n",
               static_cast<unsigned long long>(trace_len), jobs, hw,
               quick ? " (quick)" : "");
