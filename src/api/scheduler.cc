@@ -90,7 +90,7 @@ bool execute_point_to_store(const PointRun& p, store::ResultStore* store,
   }
   PointExecutor exec(p.with_baseline);
   exec.set_baseline_hooks(store_baseline_hooks(store));
-  std::string text = outcome_payload(exec.execute(p.point));
+  std::string text = outcome_payload(exec.execute(*p.point));
   std::string err;
   if (!store->put(*p.key, text, &err)) {
     *why = "publish_failed";
@@ -212,9 +212,11 @@ class ThreadAttemptRunner final : public AttemptRunner {
   ThreadAttemptRunner& operator=(const ThreadAttemptRunner&) = delete;
 
   bool start(u32 slot, const PointRun& p, double, std::string*) override {
-    // The task gets its own copy of the point: the scheduler keeps mutating
-    // the PointRun (waiters, state) on the driver's thread.
-    pool_.submit([this, slot, run = p] {
+    // The task gets its own copy of the run and of its point: the scheduler
+    // keeps mutating the PointRun (waiters, state) on the driver's thread,
+    // and the point's owner may release it before the task runs.
+    pool_.submit([this, slot, run = p, point = *p.point]() mutable {
+      run.point = &point;
       AttemptResult r;
       r.slot = slot;
       try {
@@ -287,6 +289,16 @@ PointScheduler::PointScheduler(store::ResultStore* store,
       slots_(std::max<u32>(1, workers)) {}
 
 Submission& PointScheduler::add_submission(u64 id, const std::string& name,
+                                           std::vector<GridPoint>&& points,
+                                           bool with_baseline, bool replayed) {
+  Submission& sub = subs_[id];
+  sub.grid = std::move(points);
+  add_submission(id, name, sub.grid, with_baseline, replayed);
+  if (sub.complete()) std::vector<GridPoint>().swap(sub.grid);  // all hits
+  return sub;
+}
+
+Submission& PointScheduler::add_submission(u64 id, const std::string& name,
                                            const std::vector<GridPoint>& points,
                                            bool with_baseline, bool replayed) {
   Submission& sub = subs_[id];
@@ -321,7 +333,7 @@ Submission& PointScheduler::add_submission(u64 id, const std::string& name,
     const auto node = points_.emplace(key, PointRun{}).first;
     PointRun& run = node->second;
     run.key = &node->first;
-    run.point = points[i];
+    run.point = &points[i];
     run.with_baseline = with_baseline;
     run.index = i;
     run.waiters.emplace_back(id, i);
@@ -398,6 +410,13 @@ std::vector<u64> PointScheduler::step(double now_ms) {
       continue;
     }
     slot.run = p;
+  }
+  // Every point of a completed submission is resolved, so no run borrows
+  // from its grid any more (a cancelled one's points may still run for
+  // other waiters).
+  for (const u64 id : completed) {
+    Submission& sub = subs_.at(id);
+    if (!sub.cancelled) std::vector<GridPoint>().swap(sub.grid);
   }
   return completed;
 }

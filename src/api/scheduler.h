@@ -65,7 +65,10 @@ struct PointRun {
   /// The canonical result_key — the identity; points at the scheduler's
   /// one copy (the map key), since a key is a whole canonical spec.
   const std::string* key = nullptr;
-  GridPoint point;       // the first submitter's concrete spec
+  /// The first submitter's concrete spec, borrowed from its grid (which
+  /// outlives the run: a campaign keeps its grid, and the daemon's
+  /// Submission keeps the expanded one until all its points resolve).
+  const GridPoint* point = nullptr;
   bool with_baseline = true;
   PointState state = PointState::kPending;
   u32 attempts = 0;      // begun executions
@@ -93,6 +96,10 @@ struct Submission {
   size_t deduped = 0;      // attached to an in-flight execution
   /// Stored outcome payloads in grid order ("" until resolved / on failure).
   std::vector<std::string> payloads;
+  /// The expanded grid, when the submitter handed it over (the daemon);
+  /// empty when the submitter keeps its own (a campaign). Released once the
+  /// submission completes.
+  std::vector<GridPoint> grid;
 
   bool complete() const { return done + failed >= n_points; }
 };
@@ -167,9 +174,15 @@ class PointScheduler {
   /// Register a submission whose grid is already expanded. Each point is
   /// keyed by result_key(spec, with_baseline); the store answers the keys
   /// it holds (payload recorded, no execution), and the rest join the
-  /// queue or attach to an in-flight point with the same key.
+  /// queue or attach to an in-flight point with the same key. The queued
+  /// points are borrowed, not copied: `points` must outlive the scheduler.
   Submission& add_submission(u64 id, const std::string& name,
                              const std::vector<GridPoint>& points,
+                             bool with_baseline, bool replayed);
+  /// As above, with the grid kept in the Submission itself until the
+  /// submission completes.
+  Submission& add_submission(u64 id, const std::string& name,
+                             std::vector<GridPoint>&& points,
                              bool with_baseline, bool replayed);
 
   /// Reap finished attempts, then launch ready points into idle slots.

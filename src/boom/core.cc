@@ -280,9 +280,10 @@ bool BoomCore::tick(CommitSink* sink) { return tick_t(sink); }
 
 Cycle BoomCore::next_event() const {
   Cycle h = kNoEvent;
-  // Commit horizon: the ROB head completes (a sink refusal past that point
-  // forces stepping, but stepping at the horizon re-checks it).
-  if (!rob_.empty()) h = std::min(h, rob_.front().done_at);
+  // Commit horizon: the ROB head completes (stepping at the horizon
+  // re-checks whether the sink accepts it). A refused head is already
+  // complete and bounds nothing: only the sink can release it.
+  if (!rob_.empty() && !head_refused()) h = std::min(h, rob_.front().done_at);
   // Dispatch horizon, from the block the fixed-point tick recorded.
   switch (dispatch_block_) {
     case DispatchBlock::kFrontendReady:
@@ -322,9 +323,14 @@ void BoomCore::skip_to(Cycle target) {
   if (d == 0) return;
   stats_.cycles += d;
   // Every skipped cycle's do_commit would have stalled on an empty ROB or a
-  // not-yet-complete head (a ready head or a sink refusal makes the tick
-  // active, which forbids skipping).
-  stats_.commit_stall_empty += d;
+  // not-yet-complete head — or, at a refused-head fixed point, on the
+  // sink's refusal of lane 0 (an accepted ready head makes the tick active,
+  // which forbids skipping).
+  if (head_refused()) {
+    stats_.commit_stall_fireguard += d;
+  } else {
+    stats_.commit_stall_empty += d;
+  }
   switch (dispatch_block_) {
     case DispatchBlock::kRobFull: stats_.dispatch_stall_rob += d; break;
     case DispatchBlock::kIqFull: stats_.dispatch_stall_iq += d; break;

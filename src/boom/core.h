@@ -105,10 +105,12 @@ class BoomCore {
 
   /// Advance one core cycle. `sink` may be null (baseline, no monitoring).
   /// Returns true if the cycle changed state beyond per-cycle stall
-  /// counters: a commit, a dispatch, a trace fetch, a sink refusal, or an
-  /// applied PRF-port preemption. A false return means the core is at a
-  /// fixed point: every subsequent cycle up to `next_event()` is provably
-  /// identical, so the scheduler may `skip_to` it in one step.
+  /// counters: a commit, a dispatch, a trace fetch, or an applied PRF-port
+  /// preemption. A false return means the core is at a fixed point: every
+  /// subsequent cycle up to `next_event()` is provably identical, so the
+  /// scheduler may `skip_to` it in one step. A sink refusal of the head
+  /// (`head_refused()`) is such a fixed point too, but only for as long as
+  /// the sink keeps refusing: the caller must know its sink is frozen.
   bool tick(CommitSink* sink);
 
   /// Statically-typed variant of `tick` for the per-commit hot path: when
@@ -129,17 +131,28 @@ class BoomCore {
 
   /// Earliest cycle at which `tick` could make progress again. Only
   /// meaningful immediately after a `tick` that returned false; kNoEvent
-  /// means the core will never progress again (trace done, ROB empty).
-  /// Horizons are conservative lower bounds: stepping at the returned cycle
-  /// re-evaluates the real state.
+  /// means the core will never progress again (trace done, ROB empty) —
+  /// or, with a refused head, not before the sink accepts it. A refused
+  /// head bounds nothing here (it waits on the sink, not on time), so the
+  /// horizon is then the dispatch stage's alone. Horizons are conservative
+  /// lower bounds: stepping at the returned cycle re-evaluates the real
+  /// state.
   Cycle next_event() const;
 
   /// Bulk-advance over cycles proven dead by `next_event()`, charging the
   /// exact per-cycle stall counters the stepped loop would have charged
-  /// (commit_stall_empty every cycle, plus the dispatch stall recorded by
-  /// the fixed-point tick). Pre: the last tick returned false and
+  /// (commit_stall_empty every cycle — commit_stall_fireguard instead when
+  /// the head is refused — plus the dispatch stall recorded by the
+  /// fixed-point tick). Pre: the last tick returned false and
   /// `target <= next_event()`.
   void skip_to(Cycle target);
+
+  /// The last (inactive) tick stopped at a completed ROB head that the sink
+  /// refused on lane 0: a head done before the current cycle that is still
+  /// in the ROB can only have been refused, since an accepted one retires.
+  bool head_refused() const {
+    return !rob_.empty() && rob_.front().done_at < now_;
+  }
 
   /// True once the trace is exhausted and the ROB has drained.
   bool done() const { return trace_done_ && rob_.empty(); }
@@ -267,10 +280,9 @@ void BoomCore::do_commit_t(Sink* sink) {
       return;
     }
     if (sink != nullptr && !sink->can_commit(lane, head.inst)) {
+      // A refusal changes no core state beyond this counter: whether the
+      // cycle may be skipped is the sink's to decide (head_refused()).
       ++stats_.commit_stall_fireguard;
-      // The refusal itself mutates sink-side stall attribution every cycle,
-      // so a refused commit can never be skipped over.
-      active_ = true;
       return;  // in-order commit: younger lanes stall too
     }
     if (head.is_load) lsq_.commit_load();

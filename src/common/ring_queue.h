@@ -64,7 +64,8 @@ class RingQueue {
   /// Element i positions behind the head (0 == front).
   const T& at(size_t i) const {
     FG_CHECK(i < size_);
-    return buf_[(head_ + i) % buf_.size()];
+    const size_t j = head_ + i;  // < 2 * capacity: one compare wraps it
+    return buf_[j < buf_.size() ? j : j - buf_.size()];
   }
 
   void clear() {

@@ -59,7 +59,7 @@ class CdcFifo {
   size_t size() const { return q_.size(); }
   bool full() const { return q_.full(); }
   bool empty() const { return q_.empty(); }
-  void note_reject() { ++stats_.full_rejects; }
+  void note_reject(u64 n = 1) { stats_.full_rejects += n; }
   const CdcStats& stats() const { return stats_; }
 
  private:

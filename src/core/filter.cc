@@ -1,5 +1,7 @@
 #include "src/core/filter.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 #include "src/common/invariant.h"
 
@@ -27,11 +29,14 @@ void FilterTable::add_interest_opcode(u8 opcode, u8 gid, u8 dp_sel) {
 
 void FilterTable::clear() { table_.fill(FilterEntry{}); }
 
-EventFilter::EventFilter(const EventFilterConfig& cfg) : cfg_(cfg) {
+EventFilter::EventFilter(const EventFilterConfig& cfg)
+    : cfg_(cfg),
+      order_(size_t{cfg.width} * cfg.fifo_depth),
+      valid_(order_.capacity()),
+      occupancy_(cfg.width, 0) {
   FG_CHECK(cfg_.width >= 1);
+  FG_CHECK(cfg_.width <= 128);  // the lane shares a u8 tag with the valid bit
   FG_CHECK(cfg_.fifo_depth >= 2);
-  fifos_.reserve(cfg_.width);
-  for (u32 i = 0; i < cfg_.width; ++i) fifos_.emplace_back(cfg_.fifo_depth);
 }
 
 void EventFilter::offer(u32 lane, const Packet& p_in) {
@@ -46,22 +51,27 @@ void EventFilter::offer(u32 lane, const Packet& p_in) {
   }
 }
 
+void EventFilter::push_tag(u32 lane, bool valid) {
+  FG_CHECK(lane_ready(lane));
+  order_.push(tag(lane, valid));
+  ++occupancy_[lane];
+}
+
 void EventFilter::offer_valid(u32 lane, const Packet& p) {
-  FG_CHECK(lane < cfg_.width);
-  FG_CHECK(!fifos_[lane].full());
   FG_CHECK(p.valid);
+  FG_INVARIANT(p.seq >= last_seq_, "filter.commit_order");
+  last_seq_ = p.seq;
   ++stats_.committed_seen;
   ++stats_.valid_packets;
-  fifos_[lane].push(p);
-  ++buffered_;
-  ++valid_buffered_;
-  peeked_lane_ = -1;
+  push_tag(lane, true);
+  valid_.push(p);
   FG_INVARIANT(counters_consistent(), "filter.occupancy");
 }
 
 void EventFilter::offer_placeholder(u32 lane, u64 seq) {
-  FG_CHECK(lane < cfg_.width);
-  FG_CHECK(!fifos_[lane].full());
+  FG_CHECK(lane_ready(lane));
+  FG_INVARIANT(seq >= last_seq_, "filter.commit_order");
+  last_seq_ = seq;
   ++stats_.committed_seen;
   ++stats_.invalid_packets;
   // Ordering placeholder (footnote 4): pushed so that the arbiter can prove
@@ -69,93 +79,69 @@ void EventFilter::offer_placeholder(u32 lane, u64 seq) {
   // valid buffered anywhere, the next drop_placeholders pass — which runs
   // before any later-cycle occupancy check — would pop it along with every
   // other placeholder, so the push/pop pair is elided entirely.
-  if (valid_buffered_ == 0) return;
-  Packet& p = fifos_[lane].push_slot();
-  p = Packet{};
-  p.seq = seq;
-  ++buffered_;
-  peeked_lane_ = -1;
+  if (valid_.empty()) return;
+  push_tag(lane, false);
   FG_INVARIANT(counters_consistent(), "filter.occupancy");
 }
 
-int EventFilter::arbiter_scan() {
-  // A placeholder at a FIFO head can be discarded only once we know no
-  // *older* packet can still arrive: since pushes happen in commit order,
-  // the head with the globally smallest seq is always safe to resolve —
-  // dropped if invalid, returned to the arbiter if valid.
-  if (valid_buffered_ == 0) {
+void EventFilter::drop_placeholders() {
+  // A placeholder at a FIFO head can be discarded only once no *older*
+  // packet can still arrive: the oldest buffered entry — the front tag —
+  // is always safe to resolve, dropped if invalid, emitted if valid.
+  if (valid_.empty()) {
     // Only placeholders remain: every one of them is (transitively) the
-    // minimum at some point, so clear in bulk.
-    if (buffered_ != 0) {
-      for (auto& f : fifos_) f.clear();
-      buffered_ = 0;
+    // oldest at some point, so clear in bulk.
+    if (!order_.empty()) {
+      order_.clear();
+      std::fill(occupancy_.begin(), occupancy_.end(), 0u);
     }
-    return -1;
+    return;
   }
-  for (;;) {
-    int best = -1;
-    u64 best_seq = ~u64{0};
-    for (u32 i = 0; i < cfg_.width; ++i) {
-      if (fifos_[i].empty()) continue;
-      if (fifos_[i].front().seq < best_seq) {
-        best_seq = fifos_[i].front().seq;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) return -1;
-    if (fifos_[static_cast<u32>(best)].front().valid) return best;
-    fifos_[static_cast<u32>(best)].pop();
-    --buffered_;
+  while ((order_.front() & 1u) == 0) {
+    --occupancy_[order_.pop() >> 1];
   }
 }
 
-void EventFilter::drop_placeholders() { peeked_lane_ = arbiter_scan(); }
-
 bool EventFilter::arbiter_peek(Packet& out) {
-  if (buffered_ == 0) return false;
-  peeked_lane_ = arbiter_scan();
-  if (peeked_lane_ < 0) return false;
-  const Packet& p = fifos_[static_cast<u32>(peeked_lane_)].front();
-  FG_CHECK(p.valid);
-  out = p;
+  if (order_.empty()) return false;
+  drop_placeholders();
+  if (valid_.empty()) return false;
+  out = valid_.front();
   return true;
 }
 
 void EventFilter::arbiter_pop() {
-  // Reuse the lane the immediately preceding peek resolved; no push can
-  // have intervened (the frontend pops what it just peeked, within one
-  // mapper slot).
-  const int best = peeked_lane_ >= 0 ? peeked_lane_ : arbiter_scan();
-  FG_CHECK(best >= 0);
-  FG_CHECK(fifos_[static_cast<u32>(best)].front().valid);
-  fifos_[static_cast<u32>(best)].pop();
-  peeked_lane_ = -1;
-  --buffered_;
-  --valid_buffered_;
+  drop_placeholders();  // a no-op right after the peek that found the head
+  FG_CHECK(!valid_.empty());
+  --occupancy_[order_.pop() >> 1];
+  valid_.pop();
   ++stats_.arbiter_output;
-  // Accounting across the whole lazy-drain path: placeholders popped inside
-  // arbiter_scan and the bulk clear must keep the O(1) counters in sync
-  // with the FIFOs' true contents, and output conservation must hold.
+  // Accounting across the whole lazy-drain path: placeholders dropped one
+  // by one and in bulk must keep the lane counters in step with the tag
+  // queue, and output conservation must hold.
   FG_INVARIANT(counters_consistent(), "filter.occupancy");
   FG_INVARIANT(stats_.arbiter_output <= stats_.valid_packets,
                "filter.conservation");
 }
 
 bool EventFilter::counters_consistent() const {
-  size_t total = 0;
+  std::vector<u32> lanes(cfg_.width, 0);
   size_t valid = 0;
-  for (const auto& f : fifos_) {
-    total += f.size();
-    for (size_t i = 0; i < f.size(); ++i) {
-      if (f.at(i).valid) ++valid;
-    }
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const u8 t = order_.at(i);
+    if ((t >> 1) >= cfg_.width) return false;
+    ++lanes[t >> 1];
+    if (t & 1u) ++valid;
   }
-  return total == buffered_ && valid == valid_buffered_;
+  for (u32 l = 0; l < cfg_.width; ++l) {
+    if (lanes[l] > cfg_.fifo_depth) return false;
+  }
+  return lanes == occupancy_ && valid == valid_.size();
 }
 
 bool EventFilter::any_fifo_full() const {
-  for (const auto& f : fifos_) {
-    if (f.full()) return true;
+  for (const u32 n : occupancy_) {
+    if (n >= cfg_.fifo_depth) return true;
   }
   return false;
 }

@@ -7,6 +7,17 @@
 // read). Filtered packets are buffered in paired FIFO queues — one per lane —
 // and a shared arbiter re-serializes them into commit order, consuming one
 // cycle per valid packet and skipping invalid placeholders for free.
+//
+// Model of the paired FIFOs: commit lanes push in commit (seq) order, so
+// the head with the globally smallest seq — the one the hardware arbiter
+// resolves next — is always the oldest entry buffered in any lane. The
+// model therefore keeps one commit-ordered queue of {lane, valid} tags, the
+// valid packets in a second queue (placeholders carry no payload), and a
+// per-lane occupancy counter. A lane refuses commits exactly when its
+// counter reaches the FIFO depth, and popping the front tag frees a slot in
+// exactly the lane the hardware arbiter would have popped — the same
+// capacity back-pressure and output order as the paired FIFOs, with an
+// O(1) arbiter instead of a min-scan over the lane heads per pop.
 #pragma once
 
 #include <array>
@@ -80,7 +91,7 @@ class EventFilter {
   /// for every retiring lane.
   bool lane_ready(u32 lane) const {
     // A filter narrower than the commit width refuses the extra lanes.
-    return lane < cfg_.width && !fifos_[lane].full();
+    return lane < cfg_.width && occupancy_[lane] < cfg_.fifo_depth;
   }
 
   /// Why lane_ready() failed (for stall attribution).
@@ -122,39 +133,41 @@ class EventFilter {
   /// Consume the packet previously peeked (downstream accepted it).
   void arbiter_pop();
 
-  /// Record that the arbiter was blocked this cycle (stats only).
-  void note_blocked() { ++stats_.arbiter_blocked; }
+  /// Record that the arbiter was blocked for `n` cycles (stats only).
+  void note_blocked(u64 n = 1) { stats_.arbiter_blocked += n; }
 
-  /// Total buffered packets (valid + placeholders) across lane FIFOs. O(1):
-  /// maintained as a counter so the per-cycle idle check is free.
-  size_t buffered() const { return buffered_; }
+  /// Total buffered packets (valid + placeholders) across lane FIFOs. O(1).
+  size_t buffered() const { return order_.size(); }
   /// Buffered packets the arbiter still has to emit. O(1).
-  size_t valid_buffered() const { return valid_buffered_; }
+  size_t valid_buffered() const { return valid_.size(); }
   bool any_fifo_full() const;
 
   const EventFilterConfig& config() const { return cfg_; }
   const EventFilterStats& stats() const { return stats_; }
 
  private:
+  /// One buffered entry in commit order: {lane, valid}.
+  static u8 tag(u32 lane, bool valid) {
+    return static_cast<u8>(lane << 1 | (valid ? 1u : 0u));
+  }
+  void push_tag(u32 lane, bool valid);
+  /// Resolve the placeholders ahead of the oldest valid packet (all of them
+  /// when nothing valid is buffered). Afterwards the front tag, if any, is
+  /// the in-order valid head.
   void drop_placeholders();
-  /// Drop leading placeholders, then return the lane holding the in-order
-  /// valid head (-1 if none). One pass shared by peek and pop.
-  int arbiter_scan();
-  /// FG_INVARIANT witness: the O(1) occupancy counters equal a full walk of
-  /// the lane FIFOs (buffered_ == total entries, valid_buffered_ == valid
-  /// entries). Debug-build only; O(width * depth).
+  /// FG_INVARIANT witness: the per-lane occupancy counters equal a walk of
+  /// the tag queue, each within the FIFO depth, and the valid tags number
+  /// exactly the buffered packets. Debug-build only; O(width * depth).
   bool counters_consistent() const;
 
   EventFilterConfig cfg_;
   FilterTable table_;
-  std::vector<RingQueue<Packet>> fifos_;
-  size_t buffered_ = 0;
-  size_t valid_buffered_ = 0;
-  /// Lane found by the last arbiter_peek, reused by arbiter_pop (invalidated
-  /// by any push in between — pushes land behind the head, but a fresh peek
-  /// is the contract).
-  int peeked_lane_ = -1;
+  RingQueue<u8> order_;       // every buffered entry's tag, commit order
+  RingQueue<Packet> valid_;   // the valid entries' packets, commit order
+  std::vector<u32> occupancy_;  // per-lane FIFO occupancy
   EventFilterStats stats_;
+  /// Commit-order witness for FG_INVARIANT: the last seq pushed.
+  u64 last_seq_ = 0;
 };
 
 }  // namespace fg::core

@@ -1,5 +1,8 @@
 #include "src/core/frontend.h"
 
+#include "src/common/check.h"
+#include "src/common/invariant.h"
+
 namespace fg::core {
 
 Frontend::Frontend(const FrontendConfig& cfg)
@@ -37,18 +40,31 @@ void Frontend::on_commit(u32 lane, const trace::TraceInst& ti, Cycle now) {
   fwd_.note_selected(e.dp_sel);
 }
 
-void Frontend::tick_fast(Cycle now_fast, const QueueStatus& status,
+void Frontend::charge_frozen_cycles(u64 n, bool engines_blocked) {
+  FG_CHECK(n >= 1);
+  FG_INVARIANT(cdc_.full() && !filter_.lane_ready(0), "frontend.frozen");
+  const auto cause = [this](bool blocked) {
+    return static_cast<size_t>(classify_stall(0, blocked));
+  };
+  ++stats_.stall_by_cause[cause(engines_blocked_hint_)];
+  stats_.stall_by_cause[cause(engines_blocked)] += n - 1;
+  engines_blocked_hint_ = engines_blocked;
+  cdc_.note_reject(n);
+  filter_.note_blocked(n);
+}
+
+bool Frontend::tick_fast(Cycle now_fast, const QueueStatus& status,
                          bool engines_blocked) {
   engines_blocked_hint_ = engines_blocked;
-  if (filter_.buffered() == 0) return;  // nothing to arbitrate or drop
+  if (filter_.buffered() == 0) return false;  // nothing to arbitrate or drop
   u16 issued_engines = 0;
   for (u32 slot = 0; slot < cfg_.mapper_width; ++slot) {
     Packet p;
-    if (!filter_.arbiter_peek(p)) return;
+    if (!filter_.arbiter_peek(p)) return false;
     if (!cdc_.can_push()) {
       cdc_.note_reject();
       filter_.note_blocked();
-      return;
+      return slot == 0;
     }
     const u16 ses = allocator_.plan(p, status);
     if (slot > 0 && (p.ae_bitmap & issued_engines) != 0) {
@@ -56,7 +72,7 @@ void Frontend::tick_fast(Cycle now_fast, const QueueStatus& status,
       // written this cycle must wait. The plan is abandoned (PT_reg unlatched)
       // and the packet re-planned next cycle.
       ++stats_.mapper_port_conflicts;
-      return;
+      return false;
     }
     allocator_.commit_plan(ses);
     filter_.arbiter_pop();
@@ -67,6 +83,7 @@ void Frontend::tick_fast(Cycle now_fast, const QueueStatus& status,
     issued_engines |= p.ae_bitmap;
     cdc_.push(p, now_fast);
   }
+  return false;
 }
 
 }  // namespace fg::core

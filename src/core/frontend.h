@@ -60,8 +60,20 @@ class Frontend final : public boom::CommitSink {
   /// packet through the allocator into the CDC. `status` is the (slightly
   /// stale, as in hardware) view of engine queue occupancy; `engines_blocked`
   /// reports whether the multicast channel was blocked by a full message
-  /// queue on the most recent slow cycle (for stall attribution).
-  void tick_fast(Cycle now_fast, const QueueStatus& status, bool engines_blocked);
+  /// queue on the most recent slow cycle (for stall attribution). Returns
+  /// true when the arbiter held a valid packet but the full CDC refused it
+  /// before anything issued this cycle: until the slow domain pops the CDC,
+  /// every further tick_fast repeats exactly that.
+  bool tick_fast(Cycle now_fast, const QueueStatus& status,
+                 bool engines_blocked);
+
+  /// Charge `n` >= 1 frozen fast cycles in bulk: cycles in which commit
+  /// lane 0 is refused against a full CDC and tick_fast then blocks on it,
+  /// with the multicast channel's blocked flag at `engines_blocked`
+  /// throughout. Charges exactly what `n` refusals of lane 0 and `n` such
+  /// tick_fast calls would: the first refusal reads the hint the previous
+  /// tick_fast latched, the rest read `engines_blocked`.
+  void charge_frozen_cycles(u64 n, bool engines_blocked);
 
   EventFilter& filter() { return filter_; }
   const EventFilter& filter() const { return filter_; }

@@ -1,6 +1,7 @@
 #include "src/mem/cache.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/check.h"
 
@@ -12,6 +13,8 @@ Cache::Cache(const CacheConfig& cfg, std::string name)
   FG_CHECK(cfg_.ways > 0);
   n_sets_ = cfg_.size_bytes / cfg_.line_bytes / cfg_.ways;
   FG_CHECK(n_sets_ > 0 && is_pow2(n_sets_));
+  line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_bytes));
+  tag_shift_ = line_shift_ + static_cast<u32>(std::countr_zero(n_sets_));
   lines_.assign(n_sets_ * cfg_.ways, Line{});
   mshr_done_.reserve(cfg_.mshrs);
 }

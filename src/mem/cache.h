@@ -108,12 +108,15 @@ class Cache {
     bool dirty = false;
   };
 
-  u64 set_of(u64 addr) const { return (addr / cfg_.line_bytes) & (n_sets_ - 1); }
-  u64 tag_of(u64 addr) const { return addr / cfg_.line_bytes / n_sets_; }
+  // Line size and set count are powers of two: set and tag are shifts.
+  u64 set_of(u64 addr) const { return (addr >> line_shift_) & (n_sets_ - 1); }
+  u64 tag_of(u64 addr) const { return addr >> tag_shift_; }
 
   CacheConfig cfg_;
   std::string name_;
   u64 n_sets_;
+  u32 line_shift_;  // log2(line_bytes)
+  u32 tag_shift_;   // log2(line_bytes * n_sets)
   std::vector<Line> lines_;           // n_sets * ways
   std::vector<Cycle> mshr_done_;      // completion times of in-flight misses
   CacheStats stats_;

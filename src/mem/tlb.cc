@@ -1,5 +1,8 @@
 #include "src/mem/tlb.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "src/common/check.h"
 
 namespace fg::mem {
@@ -7,16 +10,22 @@ namespace fg::mem {
 Tlb::Tlb(const TlbConfig& cfg, std::string name) : cfg_(cfg), name_(std::move(name)) {
   FG_CHECK(cfg_.entries > 0);
   FG_CHECK(is_pow2(cfg_.page_bytes));
-  entries_.assign(cfg_.entries, Entry{});
+  page_shift_ = static_cast<u32>(std::countr_zero(cfg_.page_bytes));
+  vpn_.assign(cfg_.entries, ~u64{0});
+  last_use_.assign(cfg_.entries, 0);
 }
 
-bool Tlb::would_hit(u64 vaddr) const {
-  const u64 vpn = vaddr / cfg_.page_bytes;
-  for (const Entry& e : entries_) {
-    if (e.valid && e.vpn == vpn) return true;
+int Tlb::find(u64 vpn) const {
+  if (vpn_[last_] == vpn && last_use_[last_] != 0) {
+    return static_cast<int>(last_);
   }
-  return false;
+  for (u32 i = 0; i < cfg_.entries; ++i) {
+    if (vpn_[i] == vpn && last_use_[i] != 0) return static_cast<int>(i);
+  }
+  return -1;
 }
+
+bool Tlb::would_hit(u64 vaddr) const { return find(vaddr >> page_shift_) >= 0; }
 
 u32 Tlb::access(u64 vaddr) {
   return lookup_fill(vaddr) ? 0 : cfg_.walk_latency;
@@ -25,24 +34,30 @@ u32 Tlb::access(u64 vaddr) {
 bool Tlb::lookup_fill(u64 vaddr) {
   ++stats_.accesses;
   ++use_clock_;
-  const u64 vpn = vaddr / cfg_.page_bytes;
-  Entry* victim = &entries_[0];
-  for (Entry& e : entries_) {
-    if (e.valid && e.vpn == vpn) {
-      e.last_use = use_clock_;
-      return true;
-    }
-    if (!e.valid || (victim->valid && e.last_use < victim->last_use)) victim = &e;
+  const u64 vpn = vaddr >> page_shift_;
+  const int hit = find(vpn);
+  if (hit >= 0) {
+    last_ = static_cast<u32>(hit);
+    last_use_[last_] = use_clock_;
+    return true;
+  }
+  // Victim: the last invalid entry if any, else the least recently used.
+  // Valid stamps are distinct and invalid ones are all 0, so one `<=`
+  // argmin scan picks exactly that.
+  u32 victim = 0;
+  for (u32 i = 1; i < cfg_.entries; ++i) {
+    if (last_use_[i] <= last_use_[victim]) victim = i;
   }
   ++stats_.misses;
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->last_use = use_clock_;
+  vpn_[victim] = vpn;
+  last_use_[victim] = use_clock_;
+  last_ = victim;
   return false;
 }
 
 void Tlb::flush() {
-  for (auto& e : entries_) e = Entry{};
+  std::fill(vpn_.begin(), vpn_.end(), ~u64{0});
+  std::fill(last_use_.begin(), last_use_.end(), 0);
 }
 
 }  // namespace fg::mem

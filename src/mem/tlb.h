@@ -44,15 +44,18 @@ class Tlb {
   const TlbStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    u64 vpn = ~u64{0};
-    u64 last_use = 0;
-    bool valid = false;
-  };
+  /// Index of the valid entry holding `vpn`, or -1.
+  int find(u64 vpn) const;
 
+  // Entries as packed arrays (the hit scan reads only vpn_). last_use_ is
+  // the LRU stamp; 0 marks an invalid entry, since every access stamps
+  // with a pre-incremented clock.
   TlbConfig cfg_;
   std::string name_;
-  std::vector<Entry> entries_;
+  u32 page_shift_;  // log2(page_bytes)
+  std::vector<u64> vpn_;
+  std::vector<u64> last_use_;
+  u32 last_ = 0;  // entry of the last hit or fill, probed first
   TlbStats stats_;
   u64 use_clock_ = 0;
 };

@@ -44,7 +44,8 @@ ServeDaemon::ServeDaemon(ServeConfig cfg)
   sched_.hooks().resolve = [this](const api::PointRun& p) {
     if (!cfg_.quiet && p.state == api::PointState::kDone) {
       std::printf("fgsim serve: executed %s (sub %llu)\n",
-                  p.point.name.c_str(), static_cast<unsigned long long>(p.sub));
+                  p.point->name.c_str(),
+                  static_cast<unsigned long long>(p.sub));
     }
   };
 }
@@ -214,7 +215,8 @@ u64 ServeDaemon::accept_submission(const Request& req, bool replayed,
   }
 
   const std::string name = !req.name.empty() ? req.name : req.spec.name;
-  *out = &sched_.add_submission(id, name, points, req.with_baseline, replayed);
+  *out = &sched_.add_submission(id, name, std::move(points),
+                                 req.with_baseline, replayed);
   return id;
 }
 

@@ -1,7 +1,6 @@
 #include "src/soc/soc.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/common/check.h"
 #include "src/common/invariant.h"
@@ -343,6 +342,55 @@ Cycle Soc::slow_next_event(Cycle now_slow) const {
   return h;
 }
 
+bool Soc::backpressure_window(u32 ratio, u32& until_slow, Cycle& slow_now) {
+  // The frozen state: the core's last tick changed nothing but its refusal
+  // counter (lane 0 refused, no commit, dispatch, fetch or PRF preemption),
+  // and tick_fast found the CDC full before issuing anything with lane 0's
+  // FIFO still full after its placeholder drops. Nothing in the fast domain
+  // moves again until the slow domain pops the CDC or the core's dispatch
+  // stage unblocks on its own: every fast cycle in between repeats the
+  // same refusal (attributed by the stale engines-blocked hint, as stepped)
+  // and the same blocked arbiter pass. Slow ticks do run in between — they
+  // are the only thing that can release the CDC — and each one may flip
+  // engines_blocked_, which the next cycle's tick_fast latches.
+  const Cycle start = fast_now_;
+  const Cycle target =
+      std::min<Cycle>(core_->next_event(), cfg_.max_fast_cycles);
+  if (target <= start) return false;
+  core::CdcFifo& cdc = frontend_->cdc();
+  Cycle boundary = start + (until_slow - 1);  // iteration of the next slow tick
+  Cycle c = start;  // first fast cycle not yet charged
+  bool released = false;
+  while (boundary < target) {
+    frontend_->charge_frozen_cycles(boundary + 1 - c, engines_blocked_);
+    c = boundary + 1;
+    slow_tick(slow_now++);
+    ++sched_.slow_ticks_run;
+    boundary += ratio;
+    if (!cdc.full()) {
+      released = true;
+      break;
+    }
+  }
+  if (!released && c < target) {
+    frontend_->charge_frozen_cycles(target - c, engines_blocked_);
+    c = target;
+  }
+  core_->skip_to(c);
+  until_slow = static_cast<u32>(boundary - c + 1);
+  fast_now_ = c;
+  sched_.note_skip(c - start);
+  ++sched_.backpressure_windows;
+  if (released) {
+    ++sched_.bound_slow;
+  } else if (c == core_->next_event()) {
+    ++sched_.bound_core;
+  } else {
+    ++sched_.bound_cap;
+  }
+  return true;
+}
+
 void Soc::run() {
   const u32 ratio = std::max<u32>(1, cfg_.frontend.freq_ratio);
   const bool exact = cycle_exact();
@@ -357,8 +405,20 @@ void Soc::run() {
   // only a fixed-point core may be fast-forwarded, and only then are its
   // recorded dispatch-block hints valid.
   bool core_active = true;
+  // The last stepped cycle was frozen by back-pressure (see
+  // backpressure_window); never set under the stepped reference loop.
+  bool frozen = false;
 
   while (fast_now_ < cfg_.max_fast_cycles) {
+    // --- Back-pressure window over frozen fast cycles. -------------------
+    if (frozen) {
+      frozen = false;
+      if (frontend_->cdc().full() &&
+          backpressure_window(ratio, until_slow, slow_now)) {
+        continue;  // step the cycle that ends the window
+      }
+    }
+
     // --- Event-driven fast-forward over provably dead fast cycles. -------
     // Preconditions: the stepped reference loop is not forced, the core is
     // at a fixed point (or finished), and the fast-domain frontend is empty
@@ -417,12 +477,8 @@ void Soc::run() {
           }
           until_slow = static_cast<u32>(boundary - target + 1);
           fast_now_ = target;
-          sched_.cycles_skipped += delta;
-          ++sched_.skips;
+          sched_.note_skip(delta);
           if (had_boundary) ++sched_.drain_windows;
-          ++sched_.skip_len_hist[std::min<u32>(
-              static_cast<u32>(sched_.skip_len_hist.size() - 1),
-              std::bit_width(delta) - 1)];
           if (target == core_ev) {
             ++sched_.bound_core;
           } else {
@@ -477,11 +533,7 @@ void Soc::run() {
             until_slow -= static_cast<u32>(delta);
           }
           fast_now_ = target;
-          sched_.cycles_skipped += delta;
-          ++sched_.skips;
-          ++sched_.skip_len_hist[std::min<u32>(
-              static_cast<u32>(sched_.skip_len_hist.size() - 1),
-              std::bit_width(delta) - 1)];
+          sched_.note_skip(delta);
           if (bound_is_slow) {
             ++sched_.bound_slow;
           } else {
@@ -501,8 +553,16 @@ void Soc::run() {
 
     // --- One stepped reference cycle. ------------------------------------
     core_active = false;
+    bool refused = false;
     if (!core_done) {
-      core_active = core_->tick_t(this);
+      // A refused head is a core fixed point, but only the back-pressure
+      // window may skip it: the drain-window skip at the loop top needs a
+      // core that waits on time alone, and a refused head commits as soon
+      // as lane 0 has room — which this cycle's arbiter pass may already
+      // have made.
+      const bool changed = core_->tick_t(this);
+      refused = !changed && core_->head_refused();
+      core_active = changed || refused;
       if (core_->done()) {
         core_done = true;
         core_done_cycle_ = core_->now();
@@ -513,7 +573,12 @@ void Soc::run() {
     // read before the next tick_fast (a refusal needs a FIFO that was
     // already non-empty last cycle).
     if (frontend_->filter().buffered() != 0) {
-      frontend_->tick_fast(fast_now_, *this, engines_blocked_);
+      const bool arbiter_stalled =
+          frontend_->tick_fast(fast_now_, *this, engines_blocked_);
+      // Frozen only while lane 0 stays full: the arbiter pass may have
+      // dropped placeholders from lane 0 and freed it for the next commit.
+      frozen = refused && arbiter_stalled && !exact &&
+               !frontend_->filter().lane_ready(0);
     }
     if (--until_slow == 0) {
       slow_tick(slow_now++);

@@ -17,7 +17,9 @@
 // reference loop (the differential suite compares the two).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -88,11 +90,23 @@ struct SchedStats {
   /// Drain windows: core-horizon jumps that ran interior slow-domain
   /// boundaries (real ticks and/or elided stretches) inside the window.
   u64 drain_windows = 0;
+  /// Back-pressure windows: stretches of frozen fast cycles (lane 0 refused,
+  /// arbiter blocked on a full CDC) jumped while every interior slow
+  /// boundary ran as a real tick. Their cycles count as skipped.
+  u64 backpressure_windows = 0;
   /// Which horizon bounded each skip (core fixed point, slow-domain event,
   /// or an end-of-run cap: max cycles / grace / drain backstop).
   u64 bound_core = 0;
   u64 bound_slow = 0;
   u64 bound_cap = 0;
+
+  /// Account one bulk skip of `delta` > 0 fast cycles.
+  void note_skip(u64 delta) {
+    cycles_skipped += delta;
+    ++skips;
+    ++skip_len_hist[std::min<size_t>(skip_len_hist.size() - 1,
+                                     std::bit_width(delta) - 1)];
+  }
 
   double skipped_fraction() const {
     const u64 total = cycles_stepped + cycles_skipped;
@@ -182,6 +196,12 @@ class Soc final : public boom::CommitSink, public core::QueueStatus {
   /// Memoized wrapper: engine and mesh state mutate only inside slow_tick,
   /// so the joint horizon is cached under the slow-tick epoch counter.
   Cycle slow_rest_horizon(Cycle now_slow) const;
+  /// Back-pressure window from a frozen fast cycle (see run()): charges the
+  /// frozen cycles in bulk from fast_now_ up to the core's dispatch horizon
+  /// or the first slow tick that leaves the CDC with room, whichever comes
+  /// first, running every slow boundary in between as a real slow_tick.
+  /// Returns false (nothing done) when the core's horizon is already due.
+  bool backpressure_window(u32 ratio, u32& until_slow, Cycle& slow_now);
   bool can_deliver(const core::Packet& p) const;
   void deliver(const core::Packet& p);
   bool engines_drained() const;

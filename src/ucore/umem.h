@@ -22,15 +22,24 @@ class USharedMemory {
   void store_u8(u64 addr, u8 v) { store(addr, 1, v); }
 
   size_t pages_touched() const { return pages_.size(); }
-  void clear() { pages_.clear(); }
+  void clear() {
+    pages_.clear();
+    memo_page_ = nullptr;
+  }
 
  private:
-  static constexpr u64 kPageBytes = 4096;
+  static constexpr u32 kPageShift = 12;
+  static constexpr u64 kPageBytes = u64{1} << kPageShift;
   using Page = std::array<u8, kPageBytes>;
 
-  Page* page_for(u64 addr, bool create) const;
+  /// The page holding page frame `pfn`; nullptr if absent and !create.
+  Page* page_for(u64 pfn, bool create) const;
 
   mutable std::unordered_map<u64, std::unique_ptr<Page>> pages_;
+  // The last page found or created (pages never move: they are heap
+  // nodes). Accesses cluster in a few shadow pages, so most skip the hash.
+  mutable u64 memo_pfn_ = 0;
+  mutable Page* memo_page_ = nullptr;
 };
 
 }  // namespace fg::ucore

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/mem/cache.h"
 #include "src/mem/hierarchy.h"
 
@@ -118,6 +121,78 @@ TEST(Hierarchy, InstAccessesUseL1i) {
   mem.access_inst(0x8000, 0);
   EXPECT_EQ(mem.l1i().stats().accesses, 1u);
   EXPECT_EQ(mem.l1d().stats().accesses, 0u);
+}
+
+/// Reference tag store indexed by division (the form the shift indexing
+/// replaced), with the same LRU / invalid-way victim rule. Over random
+/// streams the real cache's hit/miss sequence must match it exactly.
+class DivisionTags {
+ public:
+  explicit DivisionTags(const CacheConfig& c)
+      : line_(c.line_bytes),
+        ways_(c.ways),
+        sets_(c.size_bytes / c.line_bytes / c.ways),
+        lines_(sets_ * ways_) {}
+
+  bool access(u64 addr) {
+    ++clock_;
+    const u64 set = (addr / line_) % sets_;
+    const u64 tag = addr / line_ / sets_;
+    Line* victim = nullptr;
+    for (u64 w = 0; w < ways_; ++w) {
+      Line& l = lines_[set * ways_ + w];
+      if (l.valid && l.tag == tag) {
+        l.last_use = clock_;
+        return true;
+      }
+    }
+    for (u64 w = 0; w < ways_; ++w) {
+      Line& l = lines_[set * ways_ + w];
+      if (!victim || !l.valid ||
+          (victim->valid && l.last_use < victim->last_use)) {
+        victim = &l;
+      }
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->last_use = clock_;
+    return false;
+  }
+
+ private:
+  struct Line {
+    u64 tag = 0;
+    u64 last_use = 0;
+    bool valid = false;
+  };
+  u64 line_, ways_, sets_;
+  std::vector<Line> lines_;
+  u64 clock_ = 0;
+};
+
+TEST(Cache, ShiftIndexingMatchesDivisionReference) {
+  const std::vector<CacheConfig> geometries = {
+      {1024, 2, 64, 2, 4},        // 8 sets
+      {32 * 1024, 8, 64, 3, 8},   // Table II L1
+      {512, 8, 64, 2, 4},         // one set, fully associative
+      {4096, 1, 64, 2, 4},        // direct-mapped, 64 sets
+      {256, 1, 256, 2, 4},        // one set, one way
+      {8192, 4, 32, 2, 4},        // 32-byte lines
+  };
+  for (const CacheConfig& g : geometries) {
+    Cache c(g, "t");
+    DivisionTags ref(g);
+    Rng rng(0xcac4e + g.size_bytes + g.ways);
+    const u64 span = static_cast<u64>(g.size_bytes) * 3;
+    for (int i = 0; i < 20'000; ++i) {
+      u64 addr = rng.below(span);
+      if (rng.chance(0.1)) addr = rng.next();  // high tag bits
+      const bool hit = ref.access(addr);
+      ASSERT_EQ(c.access(addr, static_cast<Cycle>(i) * 100, 10).hit, hit)
+          << g.size_bytes << "B/" << g.ways << "w/" << g.line_bytes
+          << "B access " << i;
+    }
+  }
 }
 
 }  // namespace

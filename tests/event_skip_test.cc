@@ -5,7 +5,9 @@
 // fast-forward, post-completion grace batching, baseline fast-forward).
 #include <gtest/gtest.h>
 
+#include "src/api/snapshot.h"
 #include "src/common/simctl.h"
+#include "src/core/frontend.h"
 #include "src/soc/experiment.h"
 #include "src/soc/figures.h"
 #include "src/soc/soc.h"
@@ -216,6 +218,128 @@ TEST(EventSkip, BaselineCacheCountsInflightWaits) {
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.inflight_waits(), 0u);
+}
+
+/// Everything a back-pressure run determines: the full stat snapshot, every
+/// core counter, and the scheduler's accounting.
+struct FullRun {
+  api::StatSnapshot snap;
+  boom::CoreStats core;
+  SchedStats sched;
+};
+
+FullRun run_full(bool exact, const trace::WorkloadConfig& wl, SocConfig sc) {
+  ExactMode mode(exact);
+  trace::WorkloadGen gen(wl);
+  sc.kparams.text_lo = gen.text_lo();
+  sc.kparams.text_hi = gen.text_hi();
+  sc.warm_regions = default_warm_regions(gen, wl.profile);
+  Soc soc(sc, gen);
+  soc.run();
+  return {api::snapshot_of(soc, gen.planned_attacks()), soc.core().stats(),
+          soc.sched_stats()};
+}
+
+void expect_core_stats_equal(const boom::CoreStats& a, const boom::CoreStats& b,
+                             const std::string& label) {
+  EXPECT_EQ(a.cycles, b.cycles) << label;
+  EXPECT_EQ(a.committed, b.committed) << label;
+  EXPECT_EQ(a.commit_stall_fireguard, b.commit_stall_fireguard) << label;
+  EXPECT_EQ(a.commit_stall_empty, b.commit_stall_empty) << label;
+  EXPECT_EQ(a.dispatch_stall_rob, b.dispatch_stall_rob) << label;
+  EXPECT_EQ(a.dispatch_stall_iq, b.dispatch_stall_iq) << label;
+  EXPECT_EQ(a.dispatch_stall_lsq, b.dispatch_stall_lsq) << label;
+  EXPECT_EQ(a.dispatch_stall_pregs, b.dispatch_stall_pregs) << label;
+  EXPECT_EQ(a.mispredicts, b.mispredicts) << label;
+  EXPECT_EQ(a.prf_contention_delays, b.prf_contention_delays) << label;
+  EXPECT_EQ(a.stlf_forwards, b.stlf_forwards) << label;
+}
+
+/// Back-pressure windows: stretches in which commit lane 0 is refused
+/// against a full CDC are jumped to the core's dispatch horizon or the
+/// first slow tick that frees the CDC, with every slow tick in between run
+/// for real and the per-fast-cycle counters (refusal stalls and their
+/// causes, dispatch stalls, CDC rejects, arbiter-blocked cycles) charged in
+/// bulk. Each config below is chosen to freeze the core often; each must
+/// match the stepped reference on the full snapshot and every core counter,
+/// and must actually have taken windows.
+TEST(EventSkip, BackpressureWindowsMatchExactReference) {
+  const trace::WorkloadConfig wl = paper_workload("x264", 12000, attack_plan());
+  struct Config {
+    std::string label;
+    SocConfig sc;
+  };
+  auto asan = [](u32 engines) {
+    SocConfig sc = table2_soc();
+    sc.kernels = {deploy(kernels::KernelKind::kAsan, engines)};
+    return sc;
+  };
+  std::vector<Config> configs;
+  for (const u32 n : {1u, 2u, 4u}) {
+    configs.push_back({"asan_" + std::to_string(n), asan(n)});
+  }
+  configs.push_back({"cdc_depth_2", asan(4)});
+  configs.back().sc.frontend.cdc_depth = 2;
+  for (const u32 r : {1u, 3u, 4u}) {
+    configs.push_back({"freq_ratio_" + std::to_string(r), asan(4)});
+    configs.back().sc.frontend.freq_ratio = r;
+  }
+  configs.push_back({"mapper_width_2", asan(4)});
+  configs.back().sc.frontend.mapper_width = 2;
+  configs.push_back({"filter_width_2", asan(4)});  // narrower than the commit
+  configs.back().sc.frontend.filter.width = 2;
+  configs.push_back({"fifo_depth_2", asan(4)});
+  configs.back().sc.frontend.filter.fifo_depth = 2;
+  for (const auto& [label, sc] : configs) {
+    const FullRun exact = run_full(true, wl, sc);
+    const FullRun event = run_full(false, wl, sc);
+    EXPECT_TRUE(api::snapshots_equal(exact.snap, event.snap))
+        << label << "\n"
+        << api::snapshot_diff(exact.snap, event.snap, "exact", "event");
+    expect_core_stats_equal(exact.core, event.core, label);
+    EXPECT_EQ(event.sched.cycles_stepped + event.sched.cycles_skipped,
+              exact.sched.cycles_stepped)
+        << label;
+    // The stepped reference takes none; the event loop must take some.
+    EXPECT_EQ(exact.sched.backpressure_windows, 0u) << label;
+    EXPECT_GT(event.sched.backpressure_windows, 0u) << label;
+  }
+}
+
+/// The window's entry condition needs lane 0 to be full *after* the
+/// arbiter pass, not just refused before it: a pass that blocks on the
+/// full CDC may first drop the placeholders filling lane 0, and the next
+/// commit then succeeds. Skipping from that state would diverge from the
+/// stepped reference on every trace.
+TEST(EventSkip, BlockedArbiterPassCanStillFreeLaneZero) {
+  struct NoEngines final : core::QueueStatus {
+    bool engine_queue_full(u32) const override { return false; }
+    size_t engine_queue_free(u32) const override { return 16; }
+  };
+  core::FrontendConfig cfg;
+  cfg.filter = core::EventFilterConfig{2, 3};
+  cfg.cdc_depth = 1;
+  core::Frontend fe(cfg);
+  fe.allocator().configure_se(0, 0b1, core::SchedPolicy::kRoundRobin, 0);
+  core::Packet v;
+  v.valid = true;
+  v.gid_bitmap = 1;
+  // Commit order: a valid packet on lane 1, then three placeholders fill
+  // lane 0 behind it, then a younger valid packet on lane 1.
+  v.seq = 0;
+  fe.filter().offer_valid(1, v);
+  for (u64 seq = 1; seq <= 3; ++seq) fe.filter().offer_placeholder(0, seq);
+  v.seq = 4;
+  fe.filter().offer_valid(1, v);
+  ASSERT_FALSE(fe.filter().lane_ready(0));
+
+  const NoEngines status;
+  EXPECT_FALSE(fe.tick_fast(0, status, false));  // seq 0 crosses: CDC full
+  ASSERT_TRUE(fe.cdc().full());
+  ASSERT_FALSE(fe.filter().lane_ready(0));  // a commit now is refused
+  // The blocked pass resolves the placeholders ahead of seq 4 first.
+  EXPECT_TRUE(fe.tick_fast(1, status, false));
+  EXPECT_TRUE(fe.filter().lane_ready(0));
 }
 
 }  // namespace

@@ -96,6 +96,91 @@ TEST(HorizonContract, BoomCoreDeadUntilHorizon) {
   }
 }
 
+// A refused-head fixed point: the sink refuses lane 0, nothing else in the
+// core moves, and next_event() claims the dispatch stage's horizon alone.
+// While the sink keeps refusing, stepping to that horizon must change only
+// stall counters — and exactly the ones skip_to charges.
+TEST(HorizonContract, BoomCoreRefusedHeadChangesOnlyStallCounters) {
+  // Accepts commits until told to refuse every lane.
+  struct GateSink final : boom::CommitSink {
+    bool refuse = false;
+    bool can_commit(u32, const trace::TraceInst&) override { return !refuse; }
+    void on_commit(u32, const trace::TraceInst&, Cycle) override {}
+    u32 prf_ports_preempted() override { return 0; }
+  };
+  auto same = [](const boom::CoreStats& a, const boom::CoreStats& b) {
+    return a.cycles == b.cycles && a.committed == b.committed &&
+           a.commit_stall_fireguard == b.commit_stall_fireguard &&
+           a.commit_stall_empty == b.commit_stall_empty &&
+           a.dispatch_stall_rob == b.dispatch_stall_rob &&
+           a.dispatch_stall_iq == b.dispatch_stall_iq &&
+           a.dispatch_stall_lsq == b.dispatch_stall_lsq &&
+           a.dispatch_stall_pregs == b.dispatch_stall_pregs &&
+           a.mispredicts == b.mispredicts &&
+           a.prf_contention_delays == b.prf_contention_delays &&
+           a.stlf_forwards == b.stlf_forwards;
+  };
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    const fuzz::Scenario s = fuzz::scenario_from_seed(seed, contract_envelope());
+    // Two identical cores: `stepped` ticks through every refused cycle,
+    // `skipped` jumps with skip_to; they must stay indistinguishable.
+    trace::WorkloadGen gen_a(s.wl());
+    trace::WorkloadGen gen_b(s.wl());
+    mem::MemHierarchy mem_a(s.sc().mem);
+    mem::MemHierarchy mem_b(s.sc().mem);
+    boom::BoomCore stepped(s.sc().core, mem_a, gen_a);
+    boom::BoomCore skipped(s.sc().core, mem_b, gen_b);
+    GateSink sink;
+    Rng rng(seed * 131 + 7);
+
+    u64 windows = 0;
+    for (u32 round = 0; round < 400 && !stepped.done(); ++round) {
+      // Accept for a while, then refuse until the fixed point.
+      sink.refuse = false;
+      for (u64 k = rng.range(1, 60); k != 0 && !stepped.done(); --k) {
+        stepped.tick(&sink);
+        skipped.tick(&sink);
+      }
+      sink.refuse = true;
+      bool active = true;
+      for (u32 k = 0; k < 64 && active; ++k) {
+        active = stepped.tick(&sink);
+        ASSERT_EQ(skipped.tick(&sink), active) << s.name;
+      }
+      if (active || !stepped.head_refused()) continue;
+      ASSERT_TRUE(skipped.head_refused()) << s.name;
+      const Cycle h = stepped.next_event();
+      ASSERT_EQ(skipped.next_event(), h) << s.name;
+      ASSERT_GT(h, stepped.now()) << s.name;
+      // kNoEvent: only the sink can release the core; step a stretch.
+      const Cycle target =
+          std::min<Cycle>(h, stepped.now() + rng.range(1, 200));
+      const boom::CoreStats before = stepped.stats();
+      const Cycle from = stepped.now();
+      while (stepped.now() < target) {
+        EXPECT_FALSE(stepped.tick(&sink))
+            << s.name << ": activity at cycle " << stepped.now() - 1
+            << ", before the refused head's horizon " << h;
+      }
+      skipped.skip_to(target);
+      ++windows;
+      const boom::CoreStats& after = stepped.stats();
+      EXPECT_EQ(after.committed, before.committed) << s.name;
+      EXPECT_EQ(after.mispredicts, before.mispredicts) << s.name;
+      EXPECT_EQ(after.commit_stall_empty, before.commit_stall_empty) << s.name;
+      // One lane-0 refusal per cycle, nothing else on the commit side.
+      EXPECT_EQ(after.commit_stall_fireguard - before.commit_stall_fireguard,
+                target - from)
+          << s.name;
+      ASSERT_TRUE(same(stepped.stats(), skipped.stats()))
+          << s.name << ": skip_to charged differently from stepping";
+      EXPECT_TRUE(stepped.head_refused()) << s.name;
+      EXPECT_EQ(stepped.next_event(), h) << s.name;
+    }
+    EXPECT_GT(windows, 0u) << s.name;
+  }
+}
+
 // --- CdcFifo --------------------------------------------------------------
 //
 // next_ready_slow() is the first slow cycle the head entry's handshake has

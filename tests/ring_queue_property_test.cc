@@ -114,5 +114,22 @@ TEST(RingQueueProperty, ClearResetsToPristine) {
   for (u64 v = 0; v < 4; ++v) EXPECT_EQ(q.pop(), v);
 }
 
+/// at(i) wraps with a compare: every index of a queue whose contents
+/// straddle the end of the buffer must read the right element, for every
+/// head position.
+TEST(RingQueueProperty, AtIndexesAcrossWraparound) {
+  for (const size_t cap : {size_t{1}, size_t{2}, size_t{5}, size_t{8}}) {
+    for (size_t head = 0; head < cap; ++head) {
+      RingQueue<u64> q(cap);
+      for (size_t i = 0; i < head; ++i) q.push(0);
+      for (size_t i = 0; i < head; ++i) q.pop();  // head and tail at `head`
+      for (size_t i = 0; i < cap; ++i) q.push(100 + i);
+      for (size_t i = 0; i < cap; ++i) {
+        ASSERT_EQ(q.at(i), 100 + i) << "cap " << cap << " head " << head;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fg

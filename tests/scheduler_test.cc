@@ -29,7 +29,7 @@ class ScriptedRunner final : public AttemptRunner {
   };
 
   bool start(u32 slot, const PointRun& p, double, std::string*) override {
-    started.push_back({slot, p.point.name, p.attempts - 1});
+    started.push_back({slot, p.point->name, p.attempts - 1});
     return true;
   }
   void reap(double, std::vector<AttemptResult>* done) override {
@@ -308,6 +308,35 @@ TEST_F(SchedulerTest, RepeatedAxisValueInOneGridExecutesOnce) {
   EXPECT_NE(sub.payloads[0], sub.payloads[1]);
   EXPECT_EQ(resolved_indices.size(), 3u) << "every index is resolved";
   expect_books_close(s);
+}
+
+/// Queued points borrow the submitter's grid instead of copying it. A
+/// handed-over grid lives in the Submission until every point it queued
+/// has resolved; a cancelled first submitter keeps it for the waiters its
+/// point still serves.
+TEST_F(SchedulerTest, HandedOverGridOutlivesEveryRunThatBorrowsIt) {
+  PointScheduler& s = make(1, 3, 10);
+  ScriptedRunner& runner = *runner_;
+  Submission& a = submit(1, {"shared", "own"});
+  Submission& b = submit(2, {"shared"});
+  EXPECT_EQ(a.grid.size(), 2u);
+  EXPECT_EQ(b.grid.size(), 1u);  // kept, though nothing borrows from it
+
+  EXPECT_EQ(s.cancel(1), 1u);  // "own" dropped; "shared" serves b
+  EXPECT_TRUE(s.step(0).empty());
+  ASSERT_EQ(runner.started.size(), 1u);
+  EXPECT_EQ(runner.started[0].name, "shared");  // read through a's grid
+  runner.succeed(runner.started[0].slot, "ran-shared");
+  EXPECT_EQ(s.step(1), std::vector<u64>{2});
+  EXPECT_EQ(b.payloads[0], "ran-shared");
+  EXPECT_TRUE(b.grid.empty());   // complete: released
+  EXPECT_EQ(a.grid.size(), 2u);  // cancelled: kept
+  expect_books_close(s);
+
+  store_result("hit", "stored-hit");
+  Submission& c = submit(3, {"hit"});
+  EXPECT_TRUE(c.complete());
+  EXPECT_TRUE(c.grid.empty());  // every point answered by the store
 }
 
 }  // namespace

@@ -313,5 +313,58 @@ TEST(UCoreTiming, TlbMissAddsWalk) {
   EXPECT_EQ(c.utlb().stats().misses, 40u);
 }
 
+// --- USharedMemory: one page look-up per non-straddling access, a memo
+// of the last page, and bytewise handling of page-straddling accesses.
+
+TEST(USharedMemory, PageStraddlingStoresAndLoadsRoundTrip) {
+  USharedMemory mem;
+  const u64 page = 4096;
+  for (const u32 size : {2u, 4u, 8u}) {
+    for (u32 before = 1; before < size; ++before) {
+      const u64 addr = 7 * page - before;  // `before` bytes on the low page
+      const u64 value = 0x0102030405060708ull & (size == 8 ? ~u64{0}
+                                                 : (u64{1} << (8 * size)) - 1);
+      mem.store(addr, size, value);
+      EXPECT_EQ(mem.load(addr, size), value) << size << "/" << before;
+      // Byte i of the value lives at addr + i, across the page boundary.
+      for (u32 b = 0; b < size; ++b) {
+        EXPECT_EQ(mem.load_u8(addr + b), static_cast<u8>(value >> (8 * b)));
+      }
+      // A straddling load sees the same bytes a whole-page load does.
+      EXPECT_EQ(mem.load(7 * page, 1), static_cast<u8>(value >> (8 * before)));
+    }
+  }
+  EXPECT_EQ(mem.pages_touched(), 2u);
+}
+
+TEST(USharedMemory, LoadFromAbsentPageReadsZeroAndCreatesNothing) {
+  USharedMemory mem;
+  mem.store(0x10'0ff8, 8, 0xdeadbeefcafef00dull);
+  const size_t pages = mem.pages_touched();
+  EXPECT_EQ(mem.load(0x20'0000, 8), 0u);
+  EXPECT_EQ(mem.load(0x20'0ffc, 8), 0u);  // straddles two absent pages
+  // Straddles a present page and an absent one: the absent half reads 0.
+  EXPECT_EQ(mem.load(0x10'0ffc, 8), 0xdeadbeefull);
+  EXPECT_EQ(mem.pages_touched(), pages);
+  // The memo must not have cached the absent page: a store creates it.
+  mem.store(0x20'0000, 4, 0x11223344u);
+  EXPECT_EQ(mem.load(0x20'0000, 4), 0x11223344u);
+  EXPECT_EQ(mem.pages_touched(), pages + 1);
+}
+
+TEST(USharedMemory, MemoIsResetByClear) {
+  USharedMemory mem;
+  mem.store(0x5000, 8, 42);
+  EXPECT_EQ(mem.load(0x5000, 8), 42u);  // memoized page
+  mem.clear();
+  EXPECT_EQ(mem.pages_touched(), 0u);
+  EXPECT_EQ(mem.load(0x5000, 8), 0u);   // not the freed page
+  EXPECT_EQ(mem.pages_touched(), 0u);
+  mem.store(0x5008, 8, 7);
+  EXPECT_EQ(mem.load(0x5000, 8), 0u);   // a fresh, zeroed page
+  EXPECT_EQ(mem.load(0x5008, 8), 7u);
+  EXPECT_EQ(mem.pages_touched(), 1u);
+}
+
 }  // namespace
 }  // namespace fg::ucore

@@ -132,11 +132,14 @@ void print_sched_report(const char* name, const soc::SchedStats& s) {
   for (const u64 h : s.skip_len_hist) {
     std::printf(" %llu", static_cast<unsigned long long>(h));
   }
-  std::printf("  bounds core/slow/cap: %llu/%llu/%llu, drain windows %llu\n",
-              static_cast<unsigned long long>(s.bound_core),
-              static_cast<unsigned long long>(s.bound_slow),
-              static_cast<unsigned long long>(s.bound_cap),
-              static_cast<unsigned long long>(s.drain_windows));
+  std::printf(
+      "  bounds core/slow/cap: %llu/%llu/%llu, drain windows %llu, "
+      "back-pressure windows %llu\n",
+      static_cast<unsigned long long>(s.bound_core),
+      static_cast<unsigned long long>(s.bound_slow),
+      static_cast<unsigned long long>(s.bound_cap),
+      static_cast<unsigned long long>(s.drain_windows),
+      static_cast<unsigned long long>(s.backpressure_windows));
 }
 
 #if defined(__GNUC__)
@@ -324,6 +327,7 @@ int speed_main(int argc, char** argv) {
     sweep_sched.slow_ticks_run += s.slow_ticks_run;
     sweep_sched.slow_ticks_skipped += s.slow_ticks_skipped;
     sweep_sched.drain_windows += s.drain_windows;
+    sweep_sched.backpressure_windows += s.backpressure_windows;
     sweep_sched.bound_core += s.bound_core;
     sweep_sched.bound_slow += s.bound_slow;
     sweep_sched.bound_cap += s.bound_cap;
