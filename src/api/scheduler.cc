@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -418,7 +419,31 @@ std::vector<u64> PointScheduler::step(double now_ms) {
     Submission& sub = subs_.at(id);
     if (!sub.cancelled) std::vector<GridPoint>().swap(sub.grid);
   }
+  if (!released_.empty()) erase_released();
   return completed;
+}
+
+void PointScheduler::release(u64 id) {
+  const Submission* sub = find(id);
+  if (sub == nullptr) return;
+  FG_CHECK(sub->complete() || sub->cancelled);
+  released_.push_back(id);
+  erase_released();
+}
+
+void PointScheduler::erase_released() {
+  std::erase_if(released_, [this](u64 id) {
+    const std::vector<GridPoint>& grid = subs_.at(id).grid;
+    if (!grid.empty()) {
+      const std::less<const GridPoint*> lt;
+      const GridPoint* end = grid.data() + grid.size();
+      for (const auto& [key, p] : points_) {
+        if (!lt(p.point, grid.data()) && lt(p.point, end)) return false;
+      }
+    }
+    subs_.erase(id);
+    return true;
+  });
 }
 
 void PointScheduler::wait(double now_ms) {

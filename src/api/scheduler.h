@@ -202,6 +202,12 @@ class PointScheduler {
   /// Kill every running attempt (their points stay unresolved).
   void stop() { runner_->stop(); }
 
+  /// Forget a finished (complete or cancelled) submission once the driver
+  /// has answered its waiters, so a long-running daemon holds only live
+  /// work. A cancelled submission whose grid a surviving point still
+  /// borrows is erased by the step() that resolves that point.
+  void release(u64 id);
+
   Submission* find(u64 id);
   const std::map<u64, Submission>& submissions() const { return subs_; }
 
@@ -230,6 +236,8 @@ class PointScheduler {
                     double now_ms, std::vector<u64>* completed);
   void resolve_waiters(PointRun* p, const std::string& payload,
                        std::vector<u64>* completed);
+  /// Erase the released submissions no point borrows from any more.
+  void erase_released();
 
   store::ResultStore* store_;
   std::unique_ptr<AttemptRunner> runner_;
@@ -238,6 +246,7 @@ class PointScheduler {
   Hooks hooks_;
   std::vector<Slot> slots_;
   std::map<u64, Submission> subs_;
+  std::vector<u64> released_;  // released, erase once nothing borrows
   std::map<std::string, PointRun> points_;  // key → the one in-flight run
   /// Per-submission backlog of pending points not yet handed to a worker,
   /// plus the round-robin cursor over submission ids.

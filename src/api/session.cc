@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <optional>
 
 #include "src/baseline/instrument.h"
 #include "src/common/check.h"
 #include "src/common/invariant.h"
 #include "src/common/thread_pool.h"
-#include "src/soc/soc.h"
+#include "src/soc/experiment.h"
 
 namespace fg::api {
 
@@ -38,80 +39,18 @@ RunOutcome run_spec(const ExperimentSpec& spec) {
   out.name = spec.name;
   const double t0 = now_ms();
 
-  switch (spec.mode) {
-    case Mode::kFireguard: {
-      // Identical construction order to the legacy run_fireguard() — the
-      // bit-identity acceptance gate compares the two paths.
-      trace::WorkloadGen gen(spec.workload);
-      soc::SocConfig sc = spec.soc;
-      sc.kparams.text_lo = gen.text_lo();
-      sc.kparams.text_hi = gen.text_hi();
-      sc.warm_regions =
-          soc::default_warm_regions(gen, spec.workload.profile);
-      soc::Soc soc(sc, gen);
-      soc.run();
-
-      soc::RunResult& r = out.result;
-      r.cycles = soc.core_cycles();
-      r.committed = soc.committed();
-      r.ipc = r.cycles ? static_cast<double>(r.committed) /
-                             static_cast<double>(r.cycles)
-                       : 0.0;
-      r.stall_fractions = soc.stall_fractions();
-      r.detections = soc.detections();
-      r.spurious = soc.spurious_detections();
-      r.packets = soc.total_packets_processed();
-      r.planned_attacks = gen.planned_attacks();
-      r.sched = soc.sched_stats();
-      out.snapshot = snapshot_of(soc, gen.planned_attacks());
-      break;
-    }
-    case Mode::kBaseline: {
-      trace::WorkloadGen gen(spec.workload);
-      mem::MemHierarchy mem(spec.soc.mem);
-      for (const auto& [lo, hi] :
-           soc::default_warm_regions(gen, spec.workload.profile)) {
-        mem.warm_region(lo, hi);
-      }
-      mem.reset_stats();
-      boom::BoomCore core(spec.soc.core, mem, gen);
-      core.run_to_end(nullptr, spec.soc.max_fast_cycles);
-      out.result.cycles = core.now();
-      out.result.committed = core.stats().committed;
-      out.result.ipc =
-          out.result.cycles
-              ? static_cast<double>(out.result.committed) /
-                    static_cast<double>(out.result.cycles)
-              : 0.0;
-      out.snapshot.cycles = core.now();
-      out.snapshot.total_cycles = core.now();
-      out.snapshot.committed = core.stats().committed;
-      break;
-    }
-    case Mode::kSoftware: {
-      trace::WorkloadGen gen(spec.workload);
-      baseline::InstrumentedSource inst(gen, spec.scheme);
-      mem::MemHierarchy mem(spec.soc.mem);
-      for (const auto& [lo, hi] :
-           soc::default_warm_regions(gen, spec.workload.profile)) {
-        mem.warm_region(lo, hi);
-      }
-      mem.reset_stats();
-      boom::BoomCore core(spec.soc.core, mem, inst);
-      core.run_to_end(nullptr, spec.soc.max_fast_cycles);
-      out.result.cycles = core.now();
-      out.result.committed = core.stats().committed;
-      out.result.ipc =
-          out.result.cycles
-              ? static_cast<double>(out.result.committed) /
-                    static_cast<double>(out.result.cycles)
-              : 0.0;
-      out.result.expansion = inst.expansion();
-      out.snapshot.cycles = core.now();
-      out.snapshot.total_cycles = core.now();
-      out.snapshot.committed = core.stats().committed;
-      break;
-    }
+  if (spec.mode == Mode::kFireguard) {
+    out.result = soc::run_fireguard(
+        spec.workload, spec.soc, [&](const soc::Soc& soc, u64 planned) {
+          out.snapshot = snapshot_of(soc, planned);
+        });
+  } else {
+    std::optional<baseline::SwScheme> scheme;
+    if (spec.mode == Mode::kSoftware) scheme = spec.scheme;
+    out.result = soc::run_bare_core(spec.workload, spec.soc, scheme);
+    out.snapshot.cycles = out.result.cycles;
+    out.snapshot.total_cycles = out.result.cycles;
+    out.snapshot.committed = out.result.committed;
   }
 
   out.wall_ms = now_ms() - t0;

@@ -94,6 +94,51 @@ void Cache::warm_line(u64 addr) {
   victim->last_use = use_clock_;
 }
 
+// Exactness of the skip. With 64-byte lines the region is n consecutive
+// lines, so any C = sets * ways consecutive of them put exactly `ways` lines
+// into every set. When no line of the region is resident, every warm_line is
+// a miss, and within one set:
+//  * the first `ways` misses take the invalid ways, then the older residents
+//    (a region line is always more recently used than any resident, so it
+//    is never the LRU victim while a resident remains);
+//  * from then on every miss evicts the region line installed `ways` misses
+//    earlier, so way placement repeats with period `ways`;
+//  * warm_line never writes a dirty bit, so each way keeps its own.
+// Skipping k * C lines (k >= 1) skips k * ways misses in every set. The
+// lines warmed after the skip see the same initial set state, so they take
+// the same ways, and with use_clock_ advanced by k * C they get the same
+// last_use stamps. A tail of at least C lines gives every set at least
+// `ways` of them, which overwrite every way the skipped lines would have
+// held. Tags, valid/dirty bits, placement, stamps and the clock all match the
+// per-line loop. Any other case (a resident line inside the region, a region
+// under 2 * C lines, line_bytes != 64) runs the per-line loop whole.
+void Cache::warm_range(u64 lo, u64 hi) {
+  u64 a = lo & ~u64{63};
+  if (a >= hi) return;
+  const u64 n = (hi - a - 1) / 64 + 1;
+  const u64 cap = n_sets_ * cfg_.ways;
+  if (cfg_.line_bytes == 64 && n >= 2 * cap && !holds_any_line(a >> 6, n)) {
+    const u64 skip = (n / cap - 1) * cap;
+    use_clock_ += skip;
+    a += skip * 64;
+  }
+  for (; a < hi; a += 64) warm_line(a);
+}
+
+bool Cache::holds_any_line(u64 first, u64 n) const {
+  const u32 set_bits = tag_shift_ - line_shift_;
+  for (u64 i = 0; i < lines_.size(); ++i) {
+    const Line& l = lines_[i];
+    const u64 line_no = (l.tag << set_bits) | (i / cfg_.ways);
+    if (l.valid && line_no - first < n) return true;
+  }
+  return false;
+}
+
+bool Cache::same_state(const Cache& o) const {
+  return lines_ == o.lines_ && use_clock_ == o.use_clock_;
+}
+
 void Cache::flush() {
   for (auto& l : lines_) l = Line{};
   mshr_done_.clear();

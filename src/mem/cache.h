@@ -86,6 +86,16 @@ class Cache {
   /// effects (functional warming before a measured run).
   void warm_line(u64 addr);
 
+  /// Functionally warm [lo, hi): the same end state as `warm_line(a)` for
+  /// every 64-byte step `a` from `lo & ~63` below `hi`, in O(capacity)
+  /// rather than O(footprint) time when the region is at least twice the
+  /// cache and holds no resident line (the rule is argued in cache.cc).
+  void warm_range(u64 lo, u64 hi);
+
+  /// True when tags, valid/dirty bits, way placement, LRU stamps and the
+  /// use clock all equal `o`'s (lets tests compare two warming paths).
+  bool same_state(const Cache& o) const;
+
   /// Invalidate everything (used between experiment phases).
   void flush();
 
@@ -106,7 +116,12 @@ class Cache {
     u64 last_use = 0;
     bool valid = false;
     bool dirty = false;
+    bool operator==(const Line&) const = default;
   };
+
+  /// Whether any valid line lies in the `n` 64-byte lines from line
+  /// number `first` (one scan over every way of every set).
+  bool holds_any_line(u64 first, u64 n) const;
 
   // Line size and set count are powers of two: set and tag are shifts.
   u64 set_of(u64 addr) const { return (addr >> line_shift_) & (n_sets_ - 1); }

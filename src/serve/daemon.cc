@@ -182,13 +182,13 @@ void ServeDaemon::replay_journal() {
                    aerr.c_str());
       continue;
     }
-    if (sub->complete()) finish_submission(sub->id);
     if (!cfg_.quiet) {
       std::printf(
           "fgsim serve: replayed submission %llu (%zu points, %zu already "
           "published)\n",
           static_cast<unsigned long long>(id), sub->n_points, sub->from_store);
     }
+    if (sub->complete()) finish_submission(sub->id);
   }
 }
 
@@ -240,6 +240,9 @@ void ServeDaemon::finish_submission(u64 id) {
         sub->from_store, sub->deduped, sub->failed);
     std::fflush(stdout);
   }
+  finished_[id] = submission_json(*sub, false);
+  if (finished_.size() > kFinishedKept) finished_.erase(finished_.begin());
+  sched_.release(id);
 }
 
 json::Value ServeDaemon::submission_json(const Submission& sub,
@@ -353,8 +356,10 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
         return;
       }
       if (sub->complete()) {
+        const std::string resp =
+            ok_response(submission_json(*sub, req.want_results));
         finish_submission(id);
-        send(c, ok_response(submission_json(*sub, req.want_results)));
+        send(c, resp);
         return;
       }
       if (req.wait) {
@@ -369,6 +374,10 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
     }
     case RequestKind::kStatus: {
       if (req.has_id) {
+        if (auto f = finished_.find(req.id); f != finished_.end()) {
+          send(c, ok_response(f->second));
+          return;
+        }
         Submission* sub = sched_.find(req.id);
         if (sub == nullptr) {
           send(c, error_response("status: unknown submission id " +
@@ -378,10 +387,15 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
         send(c, ok_response(submission_json(*sub, false)));
         return;
       }
-      json::Value jobs = json::Value::array();
+      // The kept summaries of finished submissions and the live ones, in id
+      // order (a finished cancelled one lingers in the scheduler until the
+      // points borrowing its grid resolve; its summary stands for it).
+      std::map<u64, json::Value> by_id = finished_;
       for (const auto& [id, sub] : sched_.submissions()) {
-        jobs.push(submission_json(sub, false));
+        if (!sub.finalized) by_id.emplace(id, submission_json(sub, false));
       }
+      json::Value jobs = json::Value::array();
+      for (auto& [id, job] : by_id) jobs.push(std::move(job));
       json::Value v = json::Value::object();
       v.set("jobs", std::move(jobs));
       v.set("draining", json::Value::of_bool(draining_));
@@ -389,7 +403,10 @@ void ServeDaemon::handle_request(Conn& c, const Request& req) {
       return;
     }
     case RequestKind::kCancel: {
-      const size_t dropped = sched_.cancel(req.id);
+      size_t dropped = sched_.cancel(req.id);
+      if (dropped == static_cast<size_t>(-1) && finished_.count(req.id)) {
+        dropped = 0;  // already finished: nothing left to cancel
+      }
       if (dropped == static_cast<size_t>(-1)) {
         send(c, error_response("cancel: unknown submission id " +
                                std::to_string(req.id)));

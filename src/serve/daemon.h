@@ -31,6 +31,7 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -98,8 +99,9 @@ class ServeDaemon {
   /// Close the listen socket and every client connection (in a forked
   /// worker, before it simulates).
   void close_sockets();
-  /// Finalize a completed or cancelled submission: drop its journal file
-  /// and answer the clients parked on it.
+  /// Finalize a completed or cancelled submission: drop its journal file,
+  /// answer the clients parked on it, keep its status summary and release
+  /// it from the scheduler.
   void finish_submission(u64 id);
   void check_drain_waiters();
 
@@ -121,6 +123,10 @@ class ServeDaemon {
   store::ResultStore store_;
   api::PointScheduler sched_;
   std::vector<Conn> conns_;
+  /// Status summaries of the most recently finished submissions (at most
+  /// kFinishedKept), so `status` still answers for them once released.
+  static constexpr size_t kFinishedKept = 256;
+  std::map<u64, json::Value> finished_;
   int listen_fd_ = -1;
   u64 next_id_ = 1;
   bool draining_ = false;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "src/common/check.h"
 #include "src/common/env.h"
@@ -69,19 +70,44 @@ std::vector<std::pair<u64, u64>> default_warm_regions(
   return v;
 }
 
-Cycle run_baseline_cycles(const trace::WorkloadConfig& wl, const SocConfig& sc) {
+namespace {
+
+double ipc_of(Cycle cycles, u64 committed) {
+  return cycles ? static_cast<double>(committed) / static_cast<double>(cycles)
+                : 0.0;
+}
+
+}  // namespace
+
+RunResult run_bare_core(const trace::WorkloadConfig& wl, const SocConfig& sc,
+                        std::optional<baseline::SwScheme> scheme) {
   trace::WorkloadGen gen(wl);
+  std::optional<baseline::InstrumentedSource> inst;
+  if (scheme) inst.emplace(gen, *scheme);
   mem::MemHierarchy mem(sc.mem);
   for (const auto& [lo, hi] : default_warm_regions(gen, wl.profile)) {
     mem.warm_region(lo, hi);
   }
   mem.reset_stats();
-  boom::BoomCore core(sc.core, mem, gen);
+  trace::TraceSource& src = inst ? static_cast<trace::TraceSource&>(*inst) : gen;
+  boom::BoomCore core(sc.core, mem, src);
   core.run_to_end(nullptr, sc.max_fast_cycles);
-  return core.now();
+
+  RunResult r;
+  r.cycles = core.now();
+  r.committed = core.stats().committed;
+  r.ipc = ipc_of(r.cycles, r.committed);
+  if (inst) r.expansion = inst->expansion();
+  return r;
 }
 
-RunResult run_fireguard(const trace::WorkloadConfig& wl, SocConfig sc) {
+Cycle run_baseline_cycles(const trace::WorkloadConfig& wl, const SocConfig& sc) {
+  return run_bare_core(wl, sc).cycles;
+}
+
+RunResult run_fireguard(
+    const trace::WorkloadConfig& wl, SocConfig sc,
+    const std::function<void(const Soc&, u64 planned_attacks)>& inspect) {
   trace::WorkloadGen gen(wl);
   sc.kparams.text_lo = gen.text_lo();
   sc.kparams.text_hi = gen.text_hi();
@@ -92,36 +118,20 @@ RunResult run_fireguard(const trace::WorkloadConfig& wl, SocConfig sc) {
   RunResult r;
   r.cycles = soc.core_cycles();
   r.committed = soc.committed();
-  r.ipc = r.cycles ? static_cast<double>(r.committed) / static_cast<double>(r.cycles)
-                   : 0.0;
+  r.ipc = ipc_of(r.cycles, r.committed);
   r.stall_fractions = soc.stall_fractions();
   r.detections = soc.detections();
   r.spurious = soc.spurious_detections();
   r.packets = soc.total_packets_processed();
   r.planned_attacks = gen.planned_attacks();
   r.sched = soc.sched_stats();
+  if (inspect) inspect(soc, r.planned_attacks);
   return r;
 }
 
 RunResult run_software(const trace::WorkloadConfig& wl, baseline::SwScheme scheme,
                        const SocConfig& sc) {
-  trace::WorkloadGen gen(wl);
-  baseline::InstrumentedSource inst(gen, scheme);
-  mem::MemHierarchy mem(sc.mem);
-  for (const auto& [lo, hi] : default_warm_regions(gen, wl.profile)) {
-    mem.warm_region(lo, hi);
-  }
-  mem.reset_stats();
-  boom::BoomCore core(sc.core, mem, inst);
-  core.run_to_end(nullptr, sc.max_fast_cycles);
-
-  RunResult r;
-  r.cycles = core.now();
-  r.committed = core.stats().committed;
-  r.ipc = r.cycles ? static_cast<double>(r.committed) / static_cast<double>(r.cycles)
-                   : 0.0;
-  r.expansion = inst.expansion();
-  return r;
+  return run_bare_core(wl, sc, scheme);
 }
 
 Cycle BaselineCache::get(const trace::WorkloadConfig& wl, const SocConfig& sc,

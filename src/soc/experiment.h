@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,12 +72,22 @@ struct RunResult {
 std::vector<std::pair<u64, u64>> default_warm_regions(
     const trace::WorkloadGen& gen, const trace::WorkloadProfile& profile);
 
+/// Run the bare main core, unmonitored or instrumented by `scheme`: build
+/// the workload, warm its default regions, zero the counters, run to the
+/// end. The one construction path of every baseline and software run.
+RunResult run_bare_core(const trace::WorkloadConfig& wl, const SocConfig& sc,
+                        std::optional<baseline::SwScheme> scheme = std::nullopt);
+
 /// Unmonitored baseline cycles for a workload (the slowdown denominator).
 Cycle run_baseline_cycles(const trace::WorkloadConfig& wl, const SocConfig& sc);
 
 /// Run FireGuard with the deployments in `sc.kernels` (PMC text bounds are
-/// derived from the workload image automatically).
-RunResult run_fireguard(const trace::WorkloadConfig& wl, SocConfig sc);
+/// derived from the workload image automatically). `inspect`, when given,
+/// sees the finished SoC and the planned attack count before both are
+/// destroyed (the spec layer takes its stat snapshot there).
+RunResult run_fireguard(
+    const trace::WorkloadConfig& wl, SocConfig sc,
+    const std::function<void(const Soc&, u64 planned_attacks)>& inspect = {});
 
 /// Run a software-instrumented variant on the bare core.
 RunResult run_software(const trace::WorkloadConfig& wl, baseline::SwScheme scheme,

@@ -67,7 +67,7 @@ Soc::Soc(const SocConfig& cfg, trace::TraceSource& src)
     // The analysis engines' hot state is the shadow of the program's data.
     const u64 slo = cfg_.kparams.shadow_base + (lo >> 3);
     const u64 shi = cfg_.kparams.shadow_base + (hi >> 3) + 64;
-    for (u64 a = slo & ~u64{63}; a < shi; a += 64) engine_l2_->warm_line(a);
+    engine_l2_->warm_range(slo, shi);
   }
   mem_.reset_stats();
   engine_l2_->reset_stats();

@@ -195,5 +195,87 @@ TEST(Cache, ShiftIndexingMatchesDivisionReference) {
   }
 }
 
+/// Reference for warm_range: warm_line at every 64-byte step.
+void warm_per_line(Cache& c, u64 lo, u64 hi) {
+  for (u64 a = lo & ~u64{63}; a < hi; a += 64) c.warm_line(a);
+}
+
+/// warm_range must leave exactly the state of the per-line loop, whether it
+/// skips (long region, nothing resident) or falls back (short region, a
+/// resident line inside, line_bytes != 64), on random geometries after
+/// random traffic with dirty lines.
+TEST(Cache, WarmRangeMatchesPerLineLoop) {
+  Rng rng(0x3a7e);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const u32 ways = static_cast<u32>(rng.range(1, 8));
+    const u32 sets = 1u << rng.below(7);  // 1..64
+    u32 line = 64;
+    if (trial % 10 == 0) line = trial % 20 == 0 ? 32 : 128;
+    const CacheConfig g{sets * ways * line, ways, line, 2, 4};
+    Cache fast(g, "fast");
+    Cache ref(g, "ref");
+    const u64 cap = u64{sets} * ways;
+    const u64 span = cap * 64 * 4;
+
+    auto traffic = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        const u64 addr = rng.below(span);
+        const bool write = rng.chance(0.3);
+        const Cycle now = static_cast<Cycle>(trial) * 10'000 + i;
+        EXPECT_EQ(fast.access(addr, now, 10, write).hit,
+                  ref.access(addr, now, 10, write).hit);
+      }
+    };
+    traffic(static_cast<int>(rng.below(3 * cap + 1)));
+
+    u64 prev_lo = 0, prev_hi = span;
+    for (int r = 0; r < 4; ++r) {
+      // Up to five capacities long: both sides of the 2x threshold.
+      const u64 len = rng.range(1, 5 * cap * 64);
+      u64 lo = 0;
+      switch (rng.below(3)) {
+        case 0:  // untouched addresses: nothing resident
+          lo = (u64{1} << 40) * static_cast<u64>(trial + 1) +
+               static_cast<u64>(r) * (8 * cap * 64);
+          break;
+        case 1:  // overlaps the previous region or the traffic
+          lo = prev_lo + rng.below(prev_hi - prev_lo);
+          break;
+        default:  // adjacent to the previous region
+          lo = prev_hi;
+          break;
+      }
+      if (rng.chance(0.5)) lo += rng.below(64);  // unaligned start
+      fast.warm_range(lo, lo + len);
+      warm_per_line(ref, lo, lo + len);
+      ASSERT_TRUE(fast.same_state(ref))
+          << "trial " << trial << " region " << r << ": " << sets << " sets x "
+          << ways << " ways, " << line << "B lines, [" << lo << ", "
+          << lo + len << ")";
+      prev_lo = lo;
+      prev_hi = lo + len;
+      traffic(static_cast<int>(rng.below(cap + 1)));
+    }
+  }
+}
+
+/// The Table II LLC over a 64 MB stream region (the memstall footprint):
+/// the skip fires and must still match the per-line loop.
+TEST(Cache, WarmRangeMatchesPerLineLoopOnLlc) {
+  const CacheConfig llc{4 * 1024 * 1024, 8, 64, 30, 8};
+  Cache fast(llc, "fast");
+  Cache ref(llc, "ref");
+  for (u64 a = 0; a < (1u << 20); a += 4096) {
+    fast.access(a, a, 10, /*write=*/true);
+    ref.access(a, a, 10, /*write=*/true);
+  }
+  const u64 lo = 0x10'0000'0000ull, hi = lo + (64ull << 20) + 192;
+  fast.warm_range(lo, hi);
+  warm_per_line(ref, lo, hi);
+  EXPECT_TRUE(fast.same_state(ref));
+  EXPECT_TRUE(fast.would_hit(hi - 1));
+  EXPECT_FALSE(fast.would_hit(hi - (4ull << 20) - 64));
+}
+
 }  // namespace
 }  // namespace fg::mem

@@ -94,40 +94,44 @@ TEST(EventSkip, BitIdenticalAcrossAllPaperWorkloads) {
 TEST(EventSkip, BitIdenticalOnDeploymentShapes) {
   const trace::WorkloadConfig cfg =
       paper_workload("ferret", 12000, attack_plan());
-  std::vector<std::pair<std::string, SocConfig>> shapes;
+  struct Shape {
+    std::string label;
+    SocConfig sc;
+  };
+  std::vector<Shape> shapes;
   {
     SocConfig sc = table2_soc();
     sc.kernels = {deploy(kernels::KernelKind::kPmc, 1,
                          kernels::ProgModel::kHybrid, /*use_ha=*/true)};
-    shapes.emplace_back("pmc_ha", sc);
+    shapes.push_back({"pmc_ha", sc});
   }
   {
     SocConfig sc = table2_soc();
     sc.kernels = {deploy(kernels::KernelKind::kShadowStack, 1,
                          kernels::ProgModel::kHybrid, /*use_ha=*/true)};
-    shapes.emplace_back("shadow_ha", sc);
+    shapes.push_back({"shadow_ha", sc});
   }
   {
     SocConfig sc = table2_soc();
     sc.kernels = {deploy(kernels::KernelKind::kPmc, 2),
                   deploy(kernels::KernelKind::kShadowStack, 2),
                   deploy(kernels::KernelKind::kAsan, 4)};
-    shapes.emplace_back("mixed", sc);
+    shapes.push_back({"mixed", sc});
   }
   {
     SocConfig sc = table2_soc();
     sc.kernels = {deploy(kernels::KernelKind::kAsan, 2,
                          kernels::ProgModel::kConventional)};
-    shapes.emplace_back("asan_conventional", sc);
+    shapes.push_back({"asan_conventional", sc});
   }
   {
     SocConfig sc = table2_soc();
     sc.ucore.isax_ma_stage = false;  // stock-Rocket ISAX: long stalls
     sc.kernels = {deploy(kernels::KernelKind::kAsan, 4)};
-    shapes.emplace_back("asan_postcommit", sc);
+    shapes.push_back({"asan_postcommit", sc});
   }
-  for (auto& [name, sc] : shapes) {
-    expect_identical(run_mode(true, cfg, sc), run_mode(false, cfg, sc), name);
+  for (const auto& [label, sc] : shapes) {
+    expect_identical(run_mode(true, cfg, sc), run_mode(false, cfg, sc), label);
   }
 }
 

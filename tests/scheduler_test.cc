@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -337,6 +338,61 @@ TEST_F(SchedulerTest, HandedOverGridOutlivesEveryRunThatBorrowsIt) {
   Submission& c = submit(3, {"hit"});
   EXPECT_TRUE(c.complete());
   EXPECT_TRUE(c.grid.empty());  // every point answered by the store
+}
+
+/// A released cancelled submission stays while a queued point still reads
+/// its grid, and goes with the step that resolves that point.
+TEST_F(SchedulerTest, ReleasedCancelledSubmissionWaitsForItsBorrowers) {
+  PointScheduler& s = make(1, 3, 10);
+  ScriptedRunner& runner = *runner_;
+  submit(1, {"shared"});
+  submit(2, {"shared"});
+  EXPECT_EQ(s.cancel(1), 0u);
+  s.release(1);
+  EXPECT_NE(s.find(1), nullptr) << "the queued point reads 1's grid";
+  s.step(0);
+  ASSERT_EQ(runner.started.size(), 1u);
+  EXPECT_EQ(runner.started[0].name, "shared");
+  runner.succeed(0, "ran-shared");
+  EXPECT_EQ(s.step(1), std::vector<u64>{2});
+  EXPECT_EQ(s.find(1), nullptr) << "erased once its borrower resolved";
+  EXPECT_EQ(s.find(2)->payloads[0], "ran-shared");
+  s.release(2);
+  EXPECT_TRUE(s.submissions().empty());
+  expect_books_close(s);
+}
+
+/// A long-running daemon releases each submission once it has answered
+/// it: 1,000 sequential submissions (every tenth cancelled mid-run) leave
+/// the scheduler holding only the live ones.
+TEST_F(SchedulerTest, ThousandSequentialSubmissionsStayBounded) {
+  PointScheduler& s = make(2, 3, 0);
+  ScriptedRunner& runner = *runner_;
+  size_t most = 0;
+  double t = 0;
+  for (u64 id = 1; id <= 1000; ++id) {
+    const std::string n = std::to_string(id);
+    submit(id, {"a" + n, "b" + n, "c" + n});
+    if (id % 10 == 0) {
+      s.step(t++);  // two points start, then the submission is cancelled
+      EXPECT_EQ(s.cancel(id), 1u);
+      s.release(id);
+    }
+    std::vector<u64> done;
+    while (!s.idle()) {
+      for (const ScriptedRunner::Started& st : runner.started) {
+        runner.succeed(st.slot, st.name);
+      }
+      runner.started.clear();
+      for (const u64 c : s.step(t++)) done.push_back(c);
+      most = std::max(most, s.submissions().size());
+    }
+    for (const u64 c : done) s.release(c);
+    ASSERT_TRUE(s.submissions().empty()) << "after submission " << id;
+  }
+  EXPECT_LE(most, 1u);
+  EXPECT_EQ(s.stats().submissions_accepted, 1000u);
+  expect_books_close(s);
 }
 
 }  // namespace
