@@ -267,14 +267,12 @@ const SetKey kSetKeys[] = {
        s->mode = Mode::kSoftware;
        return true;
      }},
-    {"workload", "PARSEC-like profile name (blackscholes .. x264)",
+    {"workload", "workload profile name (blackscholes .. x264, memstall)",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
-       for (const std::string& name : soc::paper_workloads()) {
-         if (name == v) {
-           s->workload.profile = trace::profile_by_name(v);
-           return true;
-         }
+       if (const trace::WorkloadProfile* p = trace::find_profile(v)) {
+         s->workload.profile = *p;
+         return true;
        }
        if (err != nullptr) {
          *err = "--set " + k + ": unknown workload \"" + v + "\"";

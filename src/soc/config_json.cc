@@ -365,13 +365,6 @@ bool kparams_from_json(const Value& v, kernels::KernelParams* out,
   return true;
 }
 
-bool known_profile_name(const std::string& name) {
-  for (const trace::WorkloadProfile& p : trace::parsec_profiles()) {
-    if (p.name == name) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 // --- enum maps -----------------------------------------------------------
@@ -470,8 +463,8 @@ bool profile_from_json(const json::Value& v, trace::WorkloadProfile* out,
   // field on top of the current base.
   const std::string name = v.get_str("name");
   if (!name.empty()) {
-    if (known_profile_name(name)) {
-      *out = trace::profile_by_name(name);
+    if (const trace::WorkloadProfile* known = trace::find_profile(name)) {
+      *out = *known;
     } else {
       out->name = name;
     }

@@ -331,64 +331,82 @@ Cycle Soc::slow_rest_horizon(Cycle now_slow) const {
 }
 
 Cycle Soc::slow_next_event(Cycle now_slow) const {
-  Cycle h = slow_rest_horizon(now_slow);
-  // CDC: the head entry's handshake settles at a known slow cycle; pops are
-  // in order, so it bounds the whole FIFO. (Delivery may then still block on
-  // a full message queue — but a full queue means a non-idle engine, whose
-  // own horizon already forces stepping.) Read fresh: a fast-domain push is
-  // the one event the slow-tick epoch cannot see, and it is O(1) here.
+  // CDC first: the head entry's handshake settles at a known slow cycle;
+  // pops are in order, so it bounds the whole FIFO. (Delivery may then still
+  // block on a full message queue — but a full queue means a non-idle
+  // engine, whose own horizon already forces stepping.) Read fresh: a
+  // fast-domain push is the one event the slow-tick epoch cannot see, and it
+  // is O(1) here. A head that can pop now answers without rebuilding the
+  // memoized engine horizon, which a real tick just retired.
   const Cycle cdc_ready = frontend_->cdc().next_ready_slow();
-  if (cdc_ready != kNoEvent) h = std::min(h, std::max(cdc_ready, now_slow));
-  return h;
+  if (cdc_ready <= now_slow) return now_slow;
+  return std::min(slow_rest_horizon(now_slow), cdc_ready);
 }
 
-bool Soc::backpressure_window(u32 ratio, u32& until_slow, Cycle& slow_now) {
-  // The frozen state: the core's last tick changed nothing but its refusal
-  // counter (lane 0 refused, no commit, dispatch, fetch or PRF preemption),
-  // and tick_fast found the CDC full before issuing anything with lane 0's
-  // FIFO still full after its placeholder drops. Nothing in the fast domain
-  // moves again until the slow domain pops the CDC or the core's dispatch
-  // stage unblocks on its own: every fast cycle in between repeats the
-  // same refusal (attributed by the stale engines-blocked hint, as stepped)
-  // and the same blocked arbiter pass. Slow ticks do run in between — they
-  // are the only thing that can release the CDC — and each one may flip
-  // engines_blocked_, which the next cycle's tick_fast latches.
+void Soc::jump_to(Cycle target, SkipBound bound, bool frozen, u32& until_slow,
+                  Cycle& slow_now) {
+  // One walker for every skip window. The fast domain is dead on
+  // [fast_now_, target): nothing in it moves but per-cycle counters, so the
+  // only work is the slow boundaries that fall inside the window. Before the
+  // slow horizon a boundary is a structural no-op: a no-op multicast pass
+  // leaves engines_blocked_ false, and only stalled (non-idle, non-halted)
+  // µcores owe their per-tick stall accounting. Engine state is frozen
+  // between real slow ticks and the fast domain pushes nothing, so one
+  // horizon evaluation covers the whole stretch up to the next real tick.
+  //
+  // Frozen (back-pressure) windows also charge each stretch of refused fast
+  // cycles with the engines-blocked hint it would have read, and end right
+  // after the first real tick that leaves the CDC with room: the cycle after
+  // it may push, so it is stepped.
+  const u32 ratio = std::max<u32>(1, cfg_.frontend.freq_ratio);
+  const core::CdcFifo& cdc = frontend_->cdc();
   const Cycle start = fast_now_;
-  const Cycle target =
-      std::min<Cycle>(core_->next_event(), cfg_.max_fast_cycles);
-  if (target <= start) return false;
-  core::CdcFifo& cdc = frontend_->cdc();
+  Cycle end = target;
   Cycle boundary = start + (until_slow - 1);  // iteration of the next slow tick
-  Cycle c = start;  // first fast cycle not yet charged
-  bool released = false;
-  while (boundary < target) {
-    frontend_->charge_frozen_cycles(boundary + 1 - c, engines_blocked_);
-    c = boundary + 1;
-    slow_tick(slow_now++);
-    ++sched_.slow_ticks_run;
-    boundary += ratio;
-    if (!cdc.full()) {
-      released = true;
-      break;
+  Cycle charged = start;  // frozen: first fast cycle not yet charged
+  while (boundary < end) {
+    if (frozen) {
+      // A refusal reads the hint one cycle stale, so the cycles up to and
+      // including this boundary see the value from before its tick.
+      frontend_->charge_frozen_cycles(boundary + 1 - charged, engines_blocked_);
+      charged = boundary + 1;
+    }
+    const Cycle slow_ev = slow_next_event(slow_now);
+    if (slow_ev > slow_now) {
+      const u64 remaining = 1 + (end - 1 - boundary) / ratio;
+      const u64 nb = std::min<u64>(remaining, slow_ev - slow_now);
+      for (ucore::UCore* uc : ucores_) {
+        if (uc != nullptr && !uc->idle() && !uc->halted()) {
+          uc->charge_skipped_stall(nb);
+        }
+      }
+      engines_blocked_ = false;
+      slow_now += nb;
+      boundary += nb * ratio;
+      sched_.slow_ticks_skipped += nb;
+    } else {
+      slow_tick(slow_now++);
+      ++sched_.slow_ticks_run;
+      if (frozen && !cdc.full()) {
+        end = boundary + 1;
+        bound = SkipBound::kSlow;
+      }
+      boundary += ratio;
     }
   }
-  if (!released && c < target) {
-    frontend_->charge_frozen_cycles(target - c, engines_blocked_);
-    c = target;
+  if (frozen && charged < end) {
+    frontend_->charge_frozen_cycles(end - charged, engines_blocked_);
   }
-  core_->skip_to(c);
-  until_slow = static_cast<u32>(boundary - c + 1);
-  fast_now_ = c;
-  sched_.note_skip(c - start);
-  ++sched_.backpressure_windows;
-  if (released) {
-    ++sched_.bound_slow;
-  } else if (c == core_->next_event()) {
-    ++sched_.bound_core;
-  } else {
-    ++sched_.bound_cap;
+  // A finished core is never ticked again; its clock stays where it stopped.
+  if (!core_->done()) core_->skip_to(end);
+  until_slow = static_cast<u32>(boundary - end + 1);
+  fast_now_ = end;
+  sched_.note_skip(end - start);
+  switch (bound) {
+    case SkipBound::kCore: ++sched_.bound_core; break;
+    case SkipBound::kSlow: ++sched_.bound_slow; break;
+    case SkipBound::kCap: ++sched_.bound_cap; break;
   }
-  return true;
 }
 
 void Soc::run() {
@@ -405,17 +423,32 @@ void Soc::run() {
   // only a fixed-point core may be fast-forwarded, and only then are its
   // recorded dispatch-block hints valid.
   bool core_active = true;
-  // The last stepped cycle was frozen by back-pressure (see
-  // backpressure_window); never set under the stepped reference loop.
+  // The last stepped cycle was frozen by back-pressure; never set under the
+  // stepped reference loop.
   bool frozen = false;
 
+  // Skip windows: run() only chooses each window's target; jump_to walks it.
   while (fast_now_ < cfg_.max_fast_cycles) {
     // --- Back-pressure window over frozen fast cycles. -------------------
+    // The frozen state: the core's last tick changed nothing but its refusal
+    // counter (lane 0 refused, no commit, dispatch, fetch or PRF
+    // preemption), and tick_fast found the CDC full before issuing anything
+    // with lane 0's FIFO still full after its placeholder drops. Nothing in
+    // the fast domain moves again until the slow domain pops the CDC or the
+    // core's dispatch stage unblocks on its own, so the target is the core's
+    // horizon; the walker ends the window early if a slow tick frees the CDC.
     if (frozen) {
       frozen = false;
-      if (frontend_->cdc().full() &&
-          backpressure_window(ratio, until_slow, slow_now)) {
-        continue;  // step the cycle that ends the window
+      if (frontend_->cdc().full()) {
+        const Cycle core_ev = core_->next_event();
+        const Cycle target = std::min<Cycle>(core_ev, cfg_.max_fast_cycles);
+        if (target > fast_now_) {
+          ++sched_.backpressure_windows;
+          jump_to(target,
+                  target == core_ev ? SkipBound::kCore : SkipBound::kCap,
+                  /*frozen=*/true, until_slow, slow_now);
+          continue;  // step the cycle that ends the window
+        }
       }
     }
 
@@ -435,70 +468,28 @@ void Soc::run() {
         // the slow domain does can reach the fast domain before the core's
         // horizon: commits are the only filter feed, tick_fast is gated on
         // a non-empty filter, and engine back-pressure is only read inside
-        // tick_fast. So the fast clock jumps straight to the horizon while
-        // the interior slow boundaries run in a tight loop — real ticks
-        // where the slow horizon says something happens, bulk elision of
-        // the provably dead stretches in between. This is what turns a
-        // 190-cycle DRAM miss into one skip instead of ratio-bounded
-        // two-cycle hops.
+        // tick_fast. This is what turns a 190-cycle DRAM miss into one skip
+        // instead of ratio-bounded two-cycle hops.
         const Cycle target = std::min<Cycle>(core_ev, cfg_.max_fast_cycles);
         if (target > fast_now_ + 1) {
-          const u64 delta = target - fast_now_;
-          core_->skip_to(target);
-          Cycle boundary = fast_now_ + (until_slow - 1);
-          const bool had_boundary = boundary < target;
-          while (boundary < target) {
-            const Cycle slow_ev = slow_next_event(slow_now);
-            if (slow_ev > slow_now) {
-              // Every boundary strictly before the slow horizon is a
-              // structural no-op; only stalled (non-idle, non-halted)
-              // µcores owe their per-tick stall accounting. Engine state is
-              // frozen between real slow ticks, so one predicate
-              // evaluation covers the whole stretch.
-              const u64 remaining = 1 + (target - 1 - boundary) / ratio;
-              const u64 nb =
-                  slow_ev == kNoEvent
-                      ? remaining
-                      : std::min<u64>(remaining, slow_ev - slow_now);
-              for (ucore::UCore* uc : ucores_) {
-                if (uc != nullptr && !uc->idle() && !uc->halted()) {
-                  uc->charge_skipped_stall(nb);
-                }
-              }
-              engines_blocked_ = false;
-              slow_now += nb;
-              boundary += nb * ratio;
-              sched_.slow_ticks_skipped += nb;
-            } else {
-              slow_tick(slow_now++);
-              ++sched_.slow_ticks_run;
-              boundary += ratio;
-            }
-          }
-          until_slow = static_cast<u32>(boundary - target + 1);
-          fast_now_ = target;
-          sched_.note_skip(delta);
-          if (had_boundary) ++sched_.drain_windows;
-          if (target == core_ev) {
-            ++sched_.bound_core;
-          } else {
-            ++sched_.bound_cap;
-          }
+          if (fast_now_ + (until_slow - 1) < target) ++sched_.drain_windows;
+          jump_to(target,
+                  target == core_ev ? SkipBound::kCore : SkipBound::kCap,
+                  /*frozen=*/false, until_slow, slow_now);
           continue;  // re-evaluate at the horizon
         }
       } else {
         // --- Post-completion skip: slow-horizon-capped. ------------------
         // After the core finishes, the fast domain exists only to clock the
-        // slow domain toward quiescence; the skip target is the next slow
-        // event, capped by the grace window and drain backstop, which
-        // advance (and break) exactly as if each quiescent cycle had been
-        // stepped.
+        // slow domain toward quiescence; the skip target is the fast cycle
+        // of the next slow event's tick, capped by the grace window and
+        // drain backstop, which advance (and break) exactly as if each
+        // quiescent cycle had been stepped.
         Cycle target = kNoEvent;
-        bool bound_is_slow = false;
+        SkipBound bound = SkipBound::kSlow;
         const Cycle slow_ev = slow_next_event(slow_now);
         if (slow_ev != kNoEvent) {
           target = fast_now_ + (until_slow - 1) + (slow_ev - slow_now) * ratio;
-          bound_is_slow = true;
         }
         Cycle cap = std::min(cfg_.max_fast_cycles,
                              core_done_cycle_ + kDrainBackstop + 1);
@@ -508,37 +499,11 @@ void Soc::run() {
         }
         if (cap < target) {
           target = cap;
-          bound_is_slow = false;
+          bound = SkipBound::kCap;
         }
         if (target != kNoEvent && target > fast_now_ + 1) {
           const u64 delta = target - fast_now_;
-          // Slow-domain bookkeeping: every slow boundary inside the window
-          // is a structural no-op (that is what the horizon proves), but
-          // stalled µcores still owe their per-tick stall accounting, and a
-          // no-op multicast pass always leaves engines_blocked_ false.
-          const Cycle first_boundary = fast_now_ + (until_slow - 1);
-          if (first_boundary < target) {
-            const u64 k = 1 + (target - 1 - first_boundary) / ratio;
-            for (ucore::UCore* uc : ucores_) {
-              if (uc != nullptr && !uc->idle() && !uc->halted()) {
-                uc->charge_skipped_stall(k);
-              }
-            }
-            slow_now += k;
-            engines_blocked_ = false;
-            until_slow =
-                static_cast<u32>(first_boundary + k * ratio - target + 1);
-            sched_.slow_ticks_skipped += k;
-          } else {
-            until_slow -= static_cast<u32>(delta);
-          }
-          fast_now_ = target;
-          sched_.note_skip(delta);
-          if (bound_is_slow) {
-            ++sched_.bound_slow;
-          } else {
-            ++sched_.bound_cap;
-          }
+          jump_to(target, bound, /*frozen=*/false, until_slow, slow_now);
           if (grace_cond) {
             grace += delta;
             if (grace > kGraceLimit) break;

@@ -9,12 +9,15 @@
 //
 // By default `run()` drives that model with an event-driven scheduler: each
 // component exposes a next-event horizon (BOOM fixed point, CDC handshake
-// settle, µcore stall end, NoC arrival), and whenever the whole SoC is
-// provably dead until the minimum horizon, the loop advances both clock
-// domains to it in one step — bit-identical to stepping, because only
-// cycles in which nothing can change are skipped and their per-cycle stall
-// accounting is charged in bulk. FG_CYCLE_EXACT=1 forces the stepped
-// reference loop (the differential suite compares the two).
+// settle, µcore stall end, NoC arrival), and whenever the fast domain is
+// provably dead until a target cycle, the loop jumps there in one step —
+// bit-identical to stepping, because only cycles in which nothing can
+// change are skipped and their per-cycle stall accounting is charged in
+// bulk. `run()` picks one of three targets (the core's horizon, a frozen
+// core's horizon under back-pressure, or the post-completion slow horizon
+// capped by grace and backstop) and one walker, `jump_to`, carries the slow
+// domain across the boundaries inside every window. FG_CYCLE_EXACT=1 forces
+// the stepped reference loop (the differential suite compares the two).
 #pragma once
 
 #include <algorithm>
@@ -91,14 +94,31 @@ struct SchedStats {
   /// boundaries (real ticks and/or elided stretches) inside the window.
   u64 drain_windows = 0;
   /// Back-pressure windows: stretches of frozen fast cycles (lane 0 refused,
-  /// arbiter blocked on a full CDC) jumped while every interior slow
-  /// boundary ran as a real tick. Their cycles count as skipped.
+  /// arbiter blocked on a full CDC) jumped to the core's horizon or the
+  /// first slow tick that frees the CDC. Their cycles count as skipped.
   u64 backpressure_windows = 0;
   /// Which horizon bounded each skip (core fixed point, slow-domain event,
   /// or an end-of-run cap: max cycles / grace / drain backstop).
   u64 bound_core = 0;
   u64 bound_slow = 0;
   u64 bound_cap = 0;
+
+  /// Sum another run's accounting into this one (every counter).
+  void add(const SchedStats& o) {
+    cycles_stepped += o.cycles_stepped;
+    cycles_skipped += o.cycles_skipped;
+    skips += o.skips;
+    for (size_t b = 0; b < skip_len_hist.size(); ++b) {
+      skip_len_hist[b] += o.skip_len_hist[b];
+    }
+    slow_ticks_run += o.slow_ticks_run;
+    slow_ticks_skipped += o.slow_ticks_skipped;
+    drain_windows += o.drain_windows;
+    backpressure_windows += o.backpressure_windows;
+    bound_core += o.bound_core;
+    bound_slow += o.bound_slow;
+    bound_cap += o.bound_cap;
+  }
 
   /// Account one bulk skip of `delta` > 0 fast cycles.
   void note_skip(u64 delta) {
@@ -189,19 +209,25 @@ class Soc final : public boom::CommitSink, public core::QueueStatus {
   void slow_tick(Cycle now_slow);
   /// Earliest slow cycle >= `now_slow` at which slow_tick would not be a
   /// structural no-op (CDC handshake settles, a µcore wakes or can execute,
-  /// an output queue owes the fabric a drain, a mesh message arrives).
+  /// an output queue owes the fabric a drain, a mesh message arrives). A
+  /// CDC head that can pop now answers in O(1), before the memoized rest.
   Cycle slow_next_event(Cycle now_slow) const;
   /// The engines-plus-mesh share of slow_next_event, unmemoized.
   Cycle slow_rest_horizon_fresh(Cycle now_slow) const;
   /// Memoized wrapper: engine and mesh state mutate only inside slow_tick,
   /// so the joint horizon is cached under the slow-tick epoch counter.
   Cycle slow_rest_horizon(Cycle now_slow) const;
-  /// Back-pressure window from a frozen fast cycle (see run()): charges the
-  /// frozen cycles in bulk from fast_now_ up to the core's dispatch horizon
-  /// or the first slow tick that leaves the CDC with room, whichever comes
-  /// first, running every slow boundary in between as a real slow_tick.
-  /// Returns false (nothing done) when the core's horizon is already due.
-  bool backpressure_window(u32 ratio, u32& until_slow, Cycle& slow_now);
+  /// Which horizon bounded a skip window (counted in SchedStats::bound_*).
+  enum class SkipBound : u8 { kCore, kSlow, kCap };
+  /// The one skip-window walker: moves fast_now_ to `target` (> fast_now_),
+  /// the end of a window whose fast domain is dead, and carries the slow
+  /// domain across every boundary inside it — elided in bulk before the slow
+  /// horizon, a real slow_tick at it. A `frozen` (back-pressure) window also
+  /// charges its refused fast cycles via Frontend::charge_frozen_cycles and
+  /// ends right after the first real tick that leaves the CDC with room
+  /// (then bounded by the slow domain, whatever `bound` said).
+  void jump_to(Cycle target, SkipBound bound, bool frozen, u32& until_slow,
+               Cycle& slow_now);
   bool can_deliver(const core::Packet& p) const;
   void deliver(const core::Packet& p);
   bool engines_drained() const;

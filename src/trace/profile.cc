@@ -165,12 +165,17 @@ const std::vector<WorkloadProfile>& parsec_profiles() {
   return kProfiles;
 }
 
-const WorkloadProfile& profile_by_name(const std::string& name) {
+const WorkloadProfile* find_profile(const std::string& name) {
   for (const auto& p : parsec_profiles()) {
-    if (p.name == name) return p;
+    if (p.name == name) return &p;
   }
-  FG_CHECK(false && "unknown workload profile");
-  __builtin_unreachable();
+  return nullptr;
+}
+
+const WorkloadProfile& profile_by_name(const std::string& name) {
+  const WorkloadProfile* p = find_profile(name);
+  FG_CHECK(p != nullptr && "unknown workload profile");
+  return *p;
 }
 
 }  // namespace fg::trace

@@ -72,6 +72,9 @@ struct WorkloadProfile {
 /// figure grids; see soc::paper_workloads() for the figures' name list).
 const std::vector<WorkloadProfile>& parsec_profiles();
 
+/// Look up one profile by name; nullptr if no library profile has it.
+const WorkloadProfile* find_profile(const std::string& name);
+
 /// Look up one profile by name (aborts if unknown).
 const WorkloadProfile& profile_by_name(const std::string& name);
 

@@ -197,6 +197,26 @@ TEST(ApplySet, KnownKeysApplyUnknownKeysFail) {
   EXPECT_FALSE(apply_set(&spec, "engines", "many", &err));
 }
 
+TEST(ApplySet, WorkloadKnobAndSpecFileShareOneProfileLookup) {
+  // The stall-bound profile is outside the paper's figure grids, yet the
+  // command line selects it exactly as a spec file does.
+  ExperimentSpec by_set = default_spec();
+  std::string err;
+  ASSERT_TRUE(apply_set(&by_set, "workload", "memstall", &err)) << err;
+  ExperimentSpec by_file;
+  ASSERT_TRUE(spec_from_json(
+      R"({"workload": {"profile": {"name": "memstall"}}})", &by_file, &err))
+      << err;
+  EXPECT_EQ(by_set.workload.profile.name, "memstall");
+  EXPECT_EQ(spec_canonical(by_set), spec_canonical(by_file));
+
+  ExperimentSpec spec = default_spec();
+  const std::string before = spec_canonical(spec);
+  EXPECT_FALSE(apply_set(&spec, "workload", "no_such_profile", &err));
+  EXPECT_NE(err.find("unknown workload"), std::string::npos);
+  EXPECT_EQ(spec_canonical(spec), before);
+}
+
 TEST(SweepExpansion, CrossProductInDeclarationOrder) {
   ExperimentSpec spec = default_spec();
   spec.name = "grid";

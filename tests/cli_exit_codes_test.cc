@@ -79,6 +79,12 @@ TEST_F(CliExitCodesTest, UsageErrorsExitTwo) {
             cli::kExitUsage);
 }
 
+TEST_F(CliExitCodesTest, SetWorkloadTakesEveryLibraryProfile) {
+  EXPECT_EQ(fgsim("spec --set workload=x264"), cli::kExitOk);
+  EXPECT_EQ(fgsim("spec --set workload=memstall"), cli::kExitOk);
+  EXPECT_EQ(fgsim("spec --set workload=no_such_profile"), cli::kExitUsage);
+}
+
 TEST_F(CliExitCodesTest, IoErrorsExitThree) {
   EXPECT_EQ(fgsim("run --spec " + dir_ + "/no_such.json"), cli::kExitIo);
   EXPECT_EQ(fgsim("sweep --spec " + dir_ + "/no_such.json"), cli::kExitIo);

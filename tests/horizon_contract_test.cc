@@ -27,15 +27,12 @@
 #include "src/trace/workload.h"
 #include "src/ucore/ucore.h"
 #include "src/ucore/umem.h"
+#include "tests/skip_diff.h"
 
 namespace fg {
 namespace {
 
-/// Restores the scheduler mode even if an assertion fails mid-test.
-struct ExactMode {
-  explicit ExactMode(bool exact) { set_cycle_exact(exact); }
-  ~ExactMode() { set_cycle_exact(false); }
-};
+using soc::ExactMode;
 
 /// Envelope for drawing component configurations: the PR 4 scenario
 /// generator guarantees every draw is valid (never degenerate), so the

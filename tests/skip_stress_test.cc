@@ -19,45 +19,10 @@
 #include "src/soc/soc.h"
 #include "src/trace/trace.h"
 #include "src/trace/workload.h"
+#include "tests/skip_diff.h"
 
 namespace fg::soc {
 namespace {
-
-/// Restores the scheduler mode even if an assertion fails mid-test.
-struct ExactMode {
-  explicit ExactMode(bool exact) { set_cycle_exact(exact); }
-  ~ExactMode() { set_cycle_exact(false); }
-};
-
-void expect_identical(const RunResult& exact, const RunResult& event,
-                      const std::string& label) {
-  EXPECT_EQ(exact.cycles, event.cycles) << label;
-  EXPECT_EQ(exact.committed, event.committed) << label;
-  EXPECT_EQ(exact.packets, event.packets) << label;
-  EXPECT_EQ(exact.spurious, event.spurious) << label;
-  for (size_t i = 0; i < exact.stall_fractions.size(); ++i) {
-    EXPECT_EQ(exact.stall_fractions[i], event.stall_fractions[i])
-        << label << " stall cause " << i;
-  }
-  ASSERT_EQ(exact.detections.size(), event.detections.size()) << label;
-  for (size_t i = 0; i < exact.detections.size(); ++i) {
-    const DetectionRecord& a = exact.detections[i];
-    const DetectionRecord& b = event.detections[i];
-    EXPECT_EQ(a.attack_id, b.attack_id) << label;
-    EXPECT_EQ(a.engine, b.engine) << label;
-    EXPECT_EQ(a.commit_fast, b.commit_fast) << label;
-    EXPECT_EQ(a.detect_fast, b.detect_fast) << label;
-  }
-  EXPECT_EQ(event.sched.cycles_stepped + event.sched.cycles_skipped,
-            exact.sched.cycles_stepped)
-      << label;
-}
-
-RunResult run_mode(bool exact, const trace::WorkloadConfig& w,
-                   const SocConfig& sc) {
-  ExactMode mode(exact);
-  return run_fireguard(w, sc);
-}
 
 // --- In-flight DRAM/PTW completions as horizons --------------------------
 //

@@ -35,7 +35,6 @@
 //                event_speedup_pmc fell below the checked-in trajectory
 //                (best same-mode runs[] record, with a noise tolerance)
 #include <algorithm>
-#include <array>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -320,20 +319,7 @@ int speed_main(int argc, char** argv) {
   // Aggregate sweep-wide scheduler accounting.
   soc::SchedStats sweep_sched{};
   for (const api::RunOutcome& o : parallel.results()) {
-    const soc::SchedStats& s = o.result.sched;
-    sweep_sched.cycles_stepped += s.cycles_stepped;
-    sweep_sched.cycles_skipped += s.cycles_skipped;
-    sweep_sched.skips += s.skips;
-    sweep_sched.slow_ticks_run += s.slow_ticks_run;
-    sweep_sched.slow_ticks_skipped += s.slow_ticks_skipped;
-    sweep_sched.drain_windows += s.drain_windows;
-    sweep_sched.backpressure_windows += s.backpressure_windows;
-    sweep_sched.bound_core += s.bound_core;
-    sweep_sched.bound_slow += s.bound_slow;
-    sweep_sched.bound_cap += s.bound_cap;
-    for (size_t b = 0; b < s.skip_len_hist.size(); ++b) {
-      sweep_sched.skip_len_hist[b] += s.skip_len_hist[b];
-    }
+    sweep_sched.add(o.result.sched);
   }
   print_sched_report("fig10_sweep", sweep_sched);
 
@@ -414,12 +400,9 @@ int speed_main(int argc, char** argv) {
   // Schema v5 record (v3's field set). Old v2–v4 records in the
   // carried-forward history stay untouched (text-level append); readers
   // skip fields a record lacks (run_record_number).
-  std::array<u64, 12> hist_sum{};
-  for (const HotLoopSpeed& s : hot) {
-    for (size_t b = 0; b < hist_sum.size(); ++b) {
-      hist_sum[b] += s.sched.skip_len_hist[b];
-    }
-  }
+  soc::SchedStats hot_sched{};
+  for (const HotLoopSpeed& s : hot) hot_sched.add(s.sched);
+  const auto& hist_sum = hot_sched.skip_len_hist;
   std::string hist_json = "[";
   for (size_t b = 0; b < hist_sum.size(); ++b) {
     hist_json += std::to_string(hist_sum[b]);
