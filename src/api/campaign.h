@@ -10,9 +10,10 @@
 // portion of an outcome (wall clock and invariant diagnostics are zeroed).
 //
 // Failure tolerance, by layer:
-//  * Point isolation (default on POSIX): each point runs in a forked child,
-//    so a crashing or hanging simulation costs one attempt, not the
-//    campaign. A per-point wall-clock watchdog SIGKILLs hung children; the
+//  * Point isolation (default on POSIX): points run in long-lived forked
+//    workers, one per job slot, so a crashing or hanging simulation costs
+//    one attempt and its worker, not the campaign (the slot forks a fresh
+//    worker). A per-point wall-clock watchdog SIGKILLs hung workers; the
 //    cycle budget (`soc.max_fast_cycles`) bounds runaway simulations from
 //    the inside.
 //  * Bounded retry with exponential backoff: a failed/killed/timed-out
@@ -46,7 +47,7 @@ namespace fg::api {
 
 struct CampaignConfig {
   std::string store_dir;
-  /// Concurrent points: forked children (isolate) or worker threads
+  /// Concurrent points: forked workers (isolate) or worker threads
   /// (in-process). 0 = FG_JOBS env, else the usable CPUs; either way capped
   /// at the usable CPUs (ThreadPool::cap_jobs).
   u32 jobs = 0;
@@ -58,8 +59,8 @@ struct CampaignConfig {
   /// Base retry backoff, doubled per subsequent attempt.
   u64 backoff_ms = 50;
   bool with_baseline = true;
-  /// Fork one child per point attempt (crash/hang isolation). Ignored on
-  /// platforms without fork.
+  /// Run attempts in long-lived forked workers (crash/hang isolation).
+  /// Ignored on platforms without fork.
   bool isolate = true;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <functional>
@@ -15,7 +16,10 @@
 #include "src/store/faultfs.h"
 
 #if !defined(_WIN32)
+#include <errno.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -104,6 +108,78 @@ bool execute_point_to_store(const PointRun& p, store::ResultStore* store,
 }
 
 #if !defined(_WIN32)
+/// Write all of `text` to a worker socket; false once the peer is gone
+/// (MSG_NOSIGNAL: a dead peer is an error, not a SIGPIPE).
+bool send_all(int fd, const std::string& text) {
+  size_t off = 0;
+  while (off < text.size()) {
+    const ssize_t n =
+        ::send(fd, text.data() + off, text.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<size_t>(n);
+    } else if (n < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A forked worker's life: read a job line, run it, reply with an empty
+/// line; exit 0 on EOF (the parent closed the socket or died), 13 on a
+/// failed attempt.
+/// Never returns and never runs a destructor, so the parent's journal,
+/// sockets and store stats are untouched.
+[[noreturn]] void worker_main(int fd, store::ResultStore* store) {
+  std::string buf;
+  for (;;) {
+    size_t nl;
+    while ((nl = buf.find('\n')) == std::string::npos) {
+      char chunk[4096];
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        buf.append(chunk, static_cast<size_t>(n));
+      } else if (n == 0 || errno != EINTR) {
+        std::_Exit(0);
+      }
+    }
+    bool ok = false;
+    try {
+      WorkerJob job;
+      if (decode_worker_job(buf.substr(0, nl), &job)) {
+        store::set_fault_ops(job.fault_ops);
+        PointRun run;
+        run.key = &job.key;
+        run.point = &job.point;
+        run.with_baseline = job.with_baseline;
+        run.index = job.index;
+        run.attempts = job.attempts;
+        std::string why;
+        ok = execute_point_to_store(run, store, nullptr, &why);
+      }
+    } catch (...) {
+      ok = false;  // an escaping throw would unwind into the parent's code
+    }
+    if (!ok) std::_Exit(13);
+    buf.erase(0, nl + 1);
+    if (!send_all(fd, "\n")) std::_Exit(0);
+  }
+}
+
+/// The one why-slug table: why a worker that exited (or was killed) without
+/// a stored entry failed, from waitpid's result and status.
+const char* failure_why(pid_t got, int st, bool timed_out) {
+  const bool exited = got > 0 && WIFEXITED(st);
+  if (timed_out) return "timeout";
+  if (exited && WEXITSTATUS(st) == store::kFaultCrashExit) {
+    return "injected_crash";
+  }
+  if (got > 0 && WIFSIGNALED(st)) return "killed";
+  if (exited && WEXITSTATUS(st) == 0) {
+    return "publish_lost";  // exit 0 but no entry: a failure
+  }
+  return "exit_nonzero";
+}
+
 class ForkAttemptRunner final : public AttemptRunner {
  public:
   ForkAttemptRunner(store::ResultStore* store, double timeout_s,
@@ -115,93 +191,170 @@ class ForkAttemptRunner final : public AttemptRunner {
 
   bool start(u32 slot, const PointRun& p, double now_ms,
              std::string* why) override {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      // Child: one attempt, then hard exit — no destructors, so the
-      // parent's journal, sockets and store stats are untouched.
-      if (in_child_) in_child_();
-      std::string child_why;
-      const bool ok = execute_point_to_store(p, store_, nullptr, &child_why);
-      std::_Exit(ok ? 0 : 13);
+    if (slot >= workers_.size()) workers_.resize(slot + 1);
+    Worker& w = workers_[slot];
+    FG_CHECK(!w.busy);
+    // The ordinals a child forked at this instant would inherit.
+    const std::string job =
+        encode_worker_job(p, store::fault_ops()) + "\n";
+    // An idle worker that died since its last attempt (killed from
+    // outside) refuses the job; it is replaced once.
+    if (w.pid <= 0 || !send_all(w.fd, job)) {
+      retire(w);
+      if (!spawn(&w) || !send_all(w.fd, job)) {
+        retire(w);
+        *why = "fork_failed";
+        return false;
+      }
     }
-    if (pid < 0) {
-      *why = "fork_failed";
-      return false;
-    }
-    const double deadline =
-        timeout_s_ > 0 ? now_ms + timeout_s_ * 1000.0 : 0.0;
-    children_.push_back({pid, slot, *p.key, deadline, false});
+    w.busy = true;
+    w.timed_out = false;
+    w.key = *p.key;
+    w.deadline_ms = timeout_s_ > 0 ? now_ms + timeout_s_ * 1000.0 : 0.0;
     return true;
   }
 
   void reap(double now_ms, std::vector<AttemptResult>* done) override {
-    for (size_t i = 0; i < children_.size();) {
-      Child& c = children_[i];
-      int st = 0;
-      const pid_t got = ::waitpid(c.pid, &st, WNOHANG);
-      if (got == 0) {
-        if (c.deadline_ms > 0 && !c.timed_out && now_ms > c.deadline_ms) {
-          ::kill(c.pid, SIGKILL);
-          c.timed_out = true;  // reaped on a later call
+    for (u32 slot = 0; slot < workers_.size(); ++slot) {
+      Worker& w = workers_[slot];
+      if (!w.busy) continue;
+      // One reply byte per attempt; EOF (or a socket error) means the
+      // worker is gone.
+      char reply = 0;
+      ssize_t n;
+      do {
+        n = ::recv(w.fd, &reply, 1, MSG_DONTWAIT);
+      } while (n < 0 && errno == EINTR);
+      const bool replied = n == 1;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (w.deadline_ms > 0 && !w.timed_out && now_ms > w.deadline_ms) {
+          ::kill(w.pid, SIGKILL);
+          w.timed_out = true;  // reaped on a later call, at its EOF
         }
-        ++i;
         continue;
       }
+      w.busy = false;
       AttemptResult r;
-      r.slot = c.slot;
-      r.timed_out = c.timed_out;
-      // The store — not the exit code — is the source of truth: success
-      // means a validated entry exists (a child that dies after its publish
+      r.slot = slot;
+      r.timed_out = w.timed_out;
+      // The store — not the reply — is the source of truth: success means
+      // a validated entry exists (a worker that dies after its publish
       // still counts).
-      r.ok = store_->get(c.key, &r.payload) ==
+      r.ok = store_->get(w.key, &r.payload) ==
              store::ResultStore::GetStatus::kHit;
+      if (replied && r.ok) {
+        done->push_back(std::move(r));
+        continue;  // the worker lives on for the slot's next attempt
+      }
+      // A worker survives only a successful attempt.
+      if (replied) ::kill(w.pid, SIGKILL);
+      int st = 0;
+      const pid_t got = ::waitpid(w.pid, &st, 0);
+      ::close(w.fd);
+      w = Worker{};
       if (!r.ok) {
-        const bool exited = got > 0 && WIFEXITED(st);
-        if (c.timed_out) {
-          r.why = "timeout";
-        } else if (exited && WEXITSTATUS(st) == store::kFaultCrashExit) {
-          r.why = "injected_crash";
-        } else if (got > 0 && WIFSIGNALED(st)) {
-          r.why = "killed";
-        } else if (exited && WEXITSTATUS(st) == 0) {
-          r.why = "publish_lost";  // exit 0 but no entry: a failure
-        } else {
-          r.why = "exit_nonzero";
-        }
+        // Replied ok but no entry: the publish was lost.
+        r.why = replied ? "publish_lost" : failure_why(got, st, r.timed_out);
       }
       done->push_back(std::move(r));
-      children_.erase(children_.begin() + static_cast<long>(i));
     }
   }
 
   void wait(double max_ms) override {
-    // A child's exit wakes nothing here, so poll on the reap cadence.
-    sleep_ms(children_.empty()
-                 ? max_ms
-                 : std::min<double>(max_ms, PointScheduler::kReapMs));
+    std::vector<pollfd> fds;
+    for (const Worker& w : workers_) {
+      if (w.busy) fds.push_back({w.fd, POLLIN, 0});
+    }
+    if (fds.empty()) {
+      sleep_ms(max_ms);
+      return;
+    }
+    // A finishing worker wakes poll (its reply, or EOF when it dies); a
+    // hung one is due for the watchdog at its deadline.
+    if (const double d = next_deadline_ms(); d > 0) {
+      max_ms = std::min(max_ms, d - api::now_ms());
+    }
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+           static_cast<int>(std::ceil(std::max(max_ms, 0.0))));
+  }
+
+  void wake_fds(std::vector<int>* fds) const override {
+    for (const Worker& w : workers_) {
+      if (w.busy) fds->push_back(w.fd);
+    }
+  }
+
+  double next_deadline_ms() const override {
+    double earliest = 0.0;
+    for (const Worker& w : workers_) {
+      if (!w.busy || w.timed_out || w.deadline_ms <= 0) continue;
+      if (earliest == 0.0 || w.deadline_ms < earliest) earliest = w.deadline_ms;
+    }
+    return earliest;
   }
 
   void stop() override {
-    for (const Child& c : children_) {
-      ::kill(c.pid, SIGKILL);
-      ::waitpid(c.pid, nullptr, 0);
+    // Every socket is closed before any worker is waited on: an idle
+    // worker exits on its EOF.
+    for (Worker& w : workers_) {
+      if (w.busy) ::kill(w.pid, SIGKILL);  // abandon the running attempt
+      if (w.fd >= 0) ::close(w.fd);
     }
-    children_.clear();
+    for (const Worker& w : workers_) {
+      if (w.pid > 0) ::waitpid(w.pid, nullptr, 0);
+    }
+    workers_.clear();
   }
 
  private:
-  struct Child {
-    pid_t pid;
-    u32 slot;
-    std::string key;
-    double deadline_ms;  // 0 = no watchdog
-    bool timed_out;
+  struct Worker {
+    pid_t pid = -1;      // -1: none (not yet forked, or reaped)
+    int fd = -1;         // the parent's end of the worker's socket
+    bool busy = false;   // an attempt is running
+    bool timed_out = false;
+    double deadline_ms = 0;  // 0 = no watchdog
+    std::string key;     // the running attempt's result key
   };
+
+  /// Fork a worker for `w`'s slot. The child closes every sibling's socket
+  /// end first: a sibling holding the parent's end would keep a worker
+  /// from seeing EOF when the parent dies.
+  bool spawn(Worker* w) {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+      return false;
+    }
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::close(sv[0]);
+      for (const Worker& other : workers_) {
+        if (other.fd >= 0) ::close(other.fd);
+      }
+      if (in_child_) in_child_();
+      worker_main(sv[1], store_);
+    }
+    ::close(sv[1]);
+    if (pid < 0) {
+      ::close(sv[0]);
+      return false;
+    }
+    w->pid = pid;
+    w->fd = sv[0];
+    return true;
+  }
+
+  /// Close `w`'s socket and reap its process (a worker that died, or an
+  /// idle one, which exits on the EOF).
+  static void retire(Worker& w) {
+    if (w.fd >= 0) ::close(w.fd);
+    if (w.pid > 0) ::waitpid(w.pid, nullptr, 0);
+    w = Worker{};
+  }
 
   store::ResultStore* store_;
   double timeout_s_;
   std::function<void()> in_child_;
-  std::vector<Child> children_;
+  std::vector<Worker> workers_;  // indexed by slot
 };
 #endif  // !_WIN32
 
@@ -264,6 +417,42 @@ double now_ms() {
   return std::chrono::duration<double, std::milli>(
              clock::now().time_since_epoch())
       .count();
+}
+
+std::string encode_worker_job(const PointRun& p, const store::FaultOps& ops) {
+  json::Value v = json::Value::object();
+  v.set("name", json::Value::of_str(p.point->name));
+  v.set("spec", spec_to_json_value(p.point->spec));
+  v.set("key", json::Value::of_str(*p.key));
+  v.set("with_baseline", json::Value::of_bool(p.with_baseline));
+  v.set("index", json::Value::of(p.index));
+  v.set("attempts", json::Value::of(p.attempts));
+  json::Value fault_ops = json::Value::array();
+  for (const u64 n : ops) fault_ops.push(json::Value::of(n));
+  v.set("fault_ops", std::move(fault_ops));
+  return json::dump(v, 0);
+}
+
+bool decode_worker_job(const std::string& line, WorkerJob* out) {
+  json::Value v;
+  if (!json::parse(line, &v) || !v.is_object()) return false;
+  const json::Value* spec = v.get("spec");
+  const json::Value* ops = v.get("fault_ops");
+  std::string err;
+  if (spec == nullptr || ops == nullptr || !ops->is_array() ||
+      ops->arr.size() != out->fault_ops.size() ||
+      !spec_from_json_value(*spec, &out->point.spec, &err)) {
+    return false;
+  }
+  out->point.name = v.get_str("name");
+  out->key = v.get_str("key");
+  out->with_baseline = v.get_bool("with_baseline", true);
+  out->index = static_cast<u32>(v.get_u64("index"));
+  out->attempts = static_cast<u32>(v.get_u64("attempts"));
+  for (size_t i = 0; i < ops->arr.size(); ++i) {
+    out->fault_ops[i] = ops->arr[i].num;
+  }
+  return true;
 }
 
 #if !defined(_WIN32)

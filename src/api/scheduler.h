@@ -20,7 +20,7 @@
 // fleet-debuggability counter, not a correctness knob).
 //
 // Threading: the scheduler and its hooks run on the driver's thread only;
-// an AttemptRunner may execute attempts elsewhere (forked children, pool
+// an AttemptRunner may execute attempts elsewhere (forked workers, pool
 // threads) but hands results back through reap() on the driver's thread.
 #pragma once
 
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/api/spec.h"
+#include "src/store/faultfs.h"
 #include "src/store/result_store.h"
 
 namespace fg::api {
@@ -126,16 +127,48 @@ class AttemptRunner {
   virtual void reap(double now_ms, std::vector<AttemptResult>* done) = 0;
   /// Block until an attempt may have finished, for at most `max_ms`.
   virtual void wait(double max_ms) = 0;
-  /// Abandon every running attempt (a stopping daemon).
+  /// Append the fds that turn readable when a running attempt finishes, for
+  /// a driver that sleeps in its own poll(); none when finishing attempts
+  /// wake nothing pollable.
+  virtual void wake_fds(std::vector<int>* /*fds*/) const {}
+  /// The nearest watchdog deadline of a running attempt (now_ms() time
+  /// base), 0 when none is armed: reap() must run by then.
+  virtual double next_deadline_ms() const { return 0.0; }
+  /// Abandon every running attempt and stop any idle workers (a stopping
+  /// daemon, a finished campaign).
   virtual void stop() {}
 };
 
+/// One point attempt as a forked worker receives it. The point travels as
+/// its spec JSON: a worker forked before the submission arrived shares
+/// none of its memory.
+struct WorkerJob {
+  GridPoint point;
+  std::string key;
+  bool with_baseline = true;
+  u32 index = 0;
+  u32 attempts = 0;
+  /// The parent's faultfs op ordinals when the attempt starts.
+  store::FaultOps fault_ops{};
+};
+
+/// The job for attempt `p.attempts - 1` of `p` as one line of JSON (no
+/// trailing newline), and back.
+std::string encode_worker_job(const PointRun& p, const store::FaultOps& ops);
+bool decode_worker_job(const std::string& line, WorkerJob* out);
+
 #if !defined(_WIN32)
-/// Each attempt runs in a forked child that simulates, publishes and
-/// hard-exits. The parent reaps children with WNOHANG, SIGKILLs those
-/// past `timeout_s` (0 = no watchdog), and asks the store whether the
-/// attempt published: the store, not the exit code, decides success.
-/// `in_child` runs first in every child (the daemon closes its sockets).
+/// Attempts run in long-lived forked workers, one per scheduler slot,
+/// forked on the slot's first start(). A worker reads jobs from a socket,
+/// installs the job's faultfs op ordinals, simulates, publishes and replies
+/// with one line; it stays alive only after a successful attempt. Any
+/// failure hard-exits it (or the parent kills it), so the parent reaps and
+/// classifies every failure by its wait status, and the slot's next
+/// attempt forks a fresh worker. The parent SIGKILLs a worker past
+/// `timeout_s` (0 = no watchdog) and asks the store whether the attempt
+/// published: the store, not the worker's reply, decides success.
+/// `in_child` runs once in every worker, right after its fork (the daemon
+/// closes its sockets).
 std::unique_ptr<AttemptRunner> fork_attempt_runner(
     store::ResultStore* store, double timeout_s,
     std::function<void()> in_child = {});
@@ -149,9 +182,6 @@ std::unique_ptr<AttemptRunner> thread_attempt_runner(store::ResultStore* store,
 
 class PointScheduler {
  public:
-  /// Forked children are reaped on this cadence (ms) while any run.
-  static constexpr int kReapMs = 2;
-
   /// Driver callbacks, run on the driver's thread inside step().
   struct Hooks {
     /// An attempt of `p` begins (its 0-based number is p.attempts - 1).
@@ -199,7 +229,8 @@ class PointScheduler {
   /// or SIZE_MAX for an unknown id.
   size_t cancel(u64 id);
 
-  /// Kill every running attempt (their points stay unresolved).
+  /// Kill every running attempt (their points stay unresolved) and stop
+  /// the idle workers.
   void stop() { runner_->stop(); }
 
   /// Forget a finished (complete or cancelled) submission once the driver
@@ -214,6 +245,11 @@ class PointScheduler {
   /// The earliest backoff gate among pending points (0 when none are
   /// gated) — a driver's sleep hint.
   double next_ready_ms() const;
+  /// The runner's nearest watchdog deadline (0 when none) — the other
+  /// sleep hint while attempts run.
+  double next_deadline_ms() const { return runner_->next_deadline_ms(); }
+  /// The fds a driver's poll() waits on for finishing attempts.
+  void wake_fds(std::vector<int>* fds) const { runner_->wake_fds(fds); }
   /// Pending points not yet running (the queue depth the stats report).
   size_t queue_depth() const;
   size_t running() const { return running_; }

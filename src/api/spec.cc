@@ -88,6 +88,11 @@ bool spec_from_json(const std::string& text, ExperimentSpec* out,
     if (err != nullptr) *err = "malformed JSON (syntax, escape, or overflow)";
     return false;
   }
+  return spec_from_json_value(root, out, err);
+}
+
+bool spec_from_json_value(const Value& root, ExperimentSpec* out,
+                          std::string* err) {
   if (!root.is_object()) {
     if (err != nullptr) *err = "spec: expected a top-level object";
     return false;

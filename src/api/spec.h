@@ -64,6 +64,9 @@ std::string spec_to_json(const ExperimentSpec& spec, int indent = 2);
 /// `*err` on malformed JSON, unknown keys, unknown enum names.
 bool spec_from_json(const std::string& text, ExperimentSpec* out,
                     std::string* err);
+/// As above, from an already parsed JSON value.
+bool spec_from_json_value(const json::Value& root, ExperimentSpec* out,
+                          std::string* err);
 
 /// Canonical one-line form of a spec (sorted keys, exact numbers): equal
 /// specs ⇔ equal strings.

@@ -167,8 +167,7 @@ void ServeDaemon::replay_journal() {
     Request req;
     req.kind = RequestKind::kSubmit;
     std::string serr;
-    if (!api::spec_from_json(json::dump(*v.get("spec"), 0), &req.spec,
-                             &serr)) {
+    if (!api::spec_from_json_value(*v.get("spec"), &req.spec, &serr)) {
       std::fprintf(stderr, "fgsim serve: journal %s: bad spec: %s\n",
                    path.c_str(), serr.c_str());
       continue;
@@ -484,19 +483,24 @@ bool ServeDaemon::run(std::string* err) {
     for (const u64 id : sched_.step(now_ms())) finish_submission(id);
     check_drain_waiters();
 
-    // Poll timeout: the reap cadence while children run (their exit does
-    // not wake poll), the backoff gate when retries are pending, lazy when
-    // idle.
+    // One poll set: the listen socket, the clients, and the busy workers,
+    // whose reply or exit wakes the loop to reap them. The timeout is the
+    // next backoff gate or watchdog deadline, lazy when neither is armed.
     int timeout = 200;
-    if (sched_.running() > 0) {
-      timeout = api::PointScheduler::kReapMs;
-    } else if (const double ready = sched_.next_ready_ms(); ready > 0) {
-      timeout = std::clamp(static_cast<int>(ready - now_ms()) + 1, 1, 50);
+    for (const double at : {sched_.next_ready_ms(), sched_.next_deadline_ms()}) {
+      if (at > 0) {
+        timeout = std::min(
+            timeout, std::clamp(static_cast<int>(at - now_ms()) + 1, 1, 50));
+      }
     }
 
     std::vector<pollfd> fds;
     fds.push_back({listen_fd_, POLLIN, 0});
     for (const Conn& c : conns_) fds.push_back({c.fd, POLLIN, 0});
+    const size_t n_client_fds = fds.size();
+    std::vector<int> worker_fds;
+    sched_.wake_fds(&worker_fds);
+    for (const int fd : worker_fds) fds.push_back({fd, POLLIN, 0});
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                           timeout);
     if (rc < 0) {
@@ -523,7 +527,7 @@ bool ServeDaemon::run(std::string* err) {
     // flagged — a blocking recv on an idle peer. Closed conns are only
     // marked (fd = -1) here and swept below, so fd numbers cannot be
     // reused mid-walk.
-    for (size_t k = 1; k < fds.size(); ++k) {
+    for (size_t k = 1; k < n_client_fds; ++k) {
       if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
       Conn* c = find_conn(fds[k].fd);
       if (c == nullptr) continue;  // already closed this iteration
@@ -548,8 +552,9 @@ bool ServeDaemon::run(std::string* err) {
     sweep_closed_conns();
   }
 
-  // Clean stop: SIGKILL in-flight children (their submissions stay
-  // journaled; unpublished points re-execute on the next start) and reap.
+  // Clean stop: SIGKILL busy workers (their submissions stay journaled;
+  // unpublished points re-execute on the next start), stop the idle ones,
+  // and reap them all.
   sched_.stop();
   close_sockets();
   conns_.clear();

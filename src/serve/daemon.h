@@ -22,12 +22,13 @@
 // the journal's atomicity carry the whole burden, exactly as in `fgsim
 // campaign` (and exercised by the same FG_FAULT machinery).
 //
-// Concurrency model: ONE event-loop thread (poll over the listen socket and
-// client connections; the scheduler reaps forked workers with WNOHANG every
-// PointScheduler::kReapMs while any run). Simulation happens in forked
-// children only; nothing in the daemon needs a lock. run() blocks until a
-// shutdown request, request_stop() (signal handlers), or a fatal socket
-// error.
+// Concurrency model: ONE event-loop thread and one poll() set: the listen
+// socket, the client connections, and the sockets of the busy long-lived
+// forked workers, whose reply (or exit) wakes the loop to reap them; its
+// timeout is the next backoff gate or watchdog deadline. Simulation happens
+// in the workers only; nothing in the daemon needs a lock. run() blocks
+// until a shutdown request, request_stop() (signal handlers), or a fatal
+// socket error.
 #pragma once
 
 #include <atomic>
@@ -97,7 +98,7 @@ class ServeDaemon {
   u64 accept_submission(const Request& req, bool replayed, u64 forced_id,
                         api::Submission** out, std::string* err);
   /// Close the listen socket and every client connection (in a forked
-  /// worker, before it simulates).
+  /// worker, once, right after its fork).
   void close_sockets();
   /// Finalize a completed or cancelled submission: drop its journal file,
   /// answer the clients parked on it, keep its status summary and release

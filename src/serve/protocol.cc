@@ -38,7 +38,7 @@ bool parse_request(const std::string& line, Request* out, std::string* err) {
       return false;
     }
     std::string spec_err;
-    if (!api::spec_from_json(json::dump(*spec, 0), &r.spec, &spec_err)) {
+    if (!api::spec_from_json_value(*spec, &r.spec, &spec_err)) {
       *err = "submit: bad spec: " + spec_err;
       return false;
     }

@@ -28,7 +28,7 @@ struct FaultState {
   bool configured = false;   // set by fault_configure/fault_clear
   bool env_loaded = false;   // FG_FAULT auto-load happened
   std::atomic<bool> active{false};
-  std::atomic<u64> ops[4] = {{0}, {0}, {0}, {0}};  // per FaultSite
+  std::atomic<u64> ops[std::tuple_size_v<FaultOps>] = {};  // per FaultSite
 };
 
 FaultState& state() {
@@ -220,6 +220,20 @@ void fault_configure(const FaultConfig& cfg) {
 }
 
 void fault_clear() { fault_configure(FaultConfig{}); }
+
+FaultOps fault_ops() {
+  FaultOps out{};
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = state().ops[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+void set_fault_ops(const FaultOps& ops) {
+  for (size_t i = 0; i < ops.size(); ++i) {
+    state().ops[i].store(ops[i], std::memory_order_relaxed);
+  }
+}
 
 bool faults_active() {
   // First call probes FG_FAULT (strict parse, loud abort on malformed

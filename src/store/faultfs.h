@@ -36,6 +36,7 @@
 // injects the identical fault sequence on every run of the same workload.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -84,6 +85,14 @@ void fault_clear();
 
 /// True when any rule is installed (cheap; the fast path for clean runs).
 bool faults_active();
+
+/// The per-site op ordinals consumed so far, indexed by FaultSite: the
+/// counts a process forked now would inherit. A long-lived forked worker
+/// installs its parent's counts before each attempt, so nth-rules fire in
+/// the op a fresh fork of that moment would have reached.
+using FaultOps = std::array<u64, static_cast<size_t>(FaultSite::kPoint) + 1>;
+FaultOps fault_ops();
+void set_fault_ops(const FaultOps& ops);
 
 /// The fault (if any) armed for `point_index` at `attempt` (0-based). The
 /// campaign runner consults this before executing a grid point.

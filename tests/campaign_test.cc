@@ -12,6 +12,19 @@
 #include <string>
 #include <vector>
 
+#if !defined(_WIN32)
+#include <errno.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+#endif
+
+#include "src/api/scheduler.h"
 #include "src/store/faultfs.h"
 #include "src/store/result_store.h"
 
@@ -56,6 +69,13 @@ class CampaignTest : public ::testing::Test {
   }
 
   void kill_and_resume(u32 jobs);
+
+#if !defined(_WIN32)
+  /// True when this process has no child left, reaped or not.
+  static bool no_children() {
+    return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+  }
+#endif
 
   std::string dir_;
 };
@@ -140,6 +160,208 @@ TEST_F(CampaignTest, IsolateAndInProcessAreBitIdentical) {
   EXPECT_EQ(a.stats().executed, 4u);
   EXPECT_EQ(b.stats().executed, 4u);
   EXPECT_EQ(a.payloads(), b.payloads());
+  EXPECT_TRUE(no_children()) << "run() must reap its forked workers";
+}
+
+// A write-site rule counts ops in process-global order, so a forked worker
+// must see each attempt's ordinals as a child forked when the attempt
+// starts would. The parent does no write during the run, so every attempt's
+// publish is write 1: torn@write:1 tears every attempt, and torn@write:2
+// (which a worker counting its own writes would hit in its second point's
+// publish) never fires. The counts were measured with a fresh fork per
+// attempt and must not move.
+TEST_F(CampaignTest, IsolatedWriteRulesFireWhereAFreshForkWould) {
+  ExperimentSpec spec = tiny_spec("torn_isolated");
+  spec.sweep = {{"seed", {"1", "2", "3", "4", "5", "6"}}};
+  CampaignConfig clean = quick_cfg("store_clean");
+  CampaignRunner reference(spec, clean);
+  std::string err;
+  ASSERT_TRUE(reference.run(&err)) << err;
+
+  struct Expect {
+    const char* rule;
+    size_t executed, retries, failed;
+  };
+  for (const Expect& e : {Expect{"torn@write:1", 0, 6, 6},
+                          Expect{"torn@write:2", 6, 0, 0}}) {
+    CampaignConfig cfg = quick_cfg(std::string("store_") + e.rule);
+    cfg.isolate = true;
+    cfg.jobs = 2;
+    cfg.max_attempts = 2;
+    CampaignRunner runner(spec, cfg);
+    ASSERT_TRUE(runner.init(&err)) << err;  // format.json is not write 1
+    configure_fault(e.rule);
+    ASSERT_TRUE(runner.run(&err)) << err;
+    store::fault_clear();
+    EXPECT_EQ(runner.stats().executed, e.executed) << e.rule;
+    EXPECT_EQ(runner.stats().retries, e.retries) << e.rule;
+    EXPECT_EQ(runner.stats().failed, e.failed) << e.rule;
+    for (size_t i = 0; i < runner.payloads().size(); ++i) {
+      EXPECT_EQ(runner.payloads()[i],
+                e.failed == 0 ? reference.payloads()[i] : std::string())
+          << e.rule << " point " << i;
+    }
+    EXPECT_TRUE(no_children()) << e.rule;
+  }
+}
+
+// N points on J slots fork exactly J workers; a crashed attempt costs its
+// worker, and the slot forks exactly one replacement.
+TEST_F(CampaignTest, ForkedWorkersSpawnOncePerSlotPlusOncePerCrash) {
+  ExperimentSpec spec = tiny_spec("spawns");
+  spec.sweep = {{"seed", {"1", "2", "3", "4", "5", "6"}}};
+  std::vector<GridPoint> points;
+  std::string err;
+  ASSERT_TRUE(expand_grid(spec, &points, &err)) << err;
+  for (const char* fault : {"", "crash@point:0"}) {
+    const std::string sub = *fault != '\0' ? "crash" : "clean";
+    store::ResultStore st;
+    ASSERT_TRUE(st.open(dir_ + "/" + sub, &err)) << err;
+    if (*fault != '\0') configure_fault(fault);
+    // Every forked worker appends one byte to the log.
+    const std::string log = dir_ + "/" + sub + ".spawns";
+    auto count_spawn = [log] {
+      const int fd = ::open(log.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+      (void)!::write(fd, "w", 1);
+      ::close(fd);
+    };
+    SchedulerStats stats;
+    {
+      PointScheduler sched(&st, fork_attempt_runner(&st, 0.0, count_spawn),
+                           /*workers=*/2, /*max_attempts=*/2,
+                           /*backoff_ms=*/1);
+      sched.add_submission(1, sub, points, /*with_baseline=*/false, false);
+      while (!sched.idle()) {
+        sched.step(now_ms());
+        if (!sched.idle()) sched.wait(now_ms());
+      }
+      stats = sched.stats();
+    }  // stops and reaps the workers
+    store::fault_clear();
+    EXPECT_EQ(stats.executed, 6u) << sub;
+    EXPECT_EQ(stats.failed_points, 0u) << sub;
+    EXPECT_EQ(stats.retries, *fault != '\0' ? 1u : 0u) << sub;
+    EXPECT_EQ(std::filesystem::file_size(log), *fault != '\0' ? 3u : 2u)
+        << sub;
+    EXPECT_TRUE(no_children()) << sub;
+  }
+}
+
+// A driver with its own poll() (the daemon) sleeps on wake_fds(): a busy
+// worker's fd turns readable when its attempt finishes, the watchdog
+// deadline is reported while it runs, and neither outlives the attempt.
+TEST_F(CampaignTest, ForkedWorkerWakesPollWhenItsAttemptFinishes) {
+  std::vector<GridPoint> points;
+  std::string err;
+  ASSERT_TRUE(expand_grid(tiny_spec("wake"), &points, &err)) << err;
+  store::ResultStore st;
+  ASSERT_TRUE(st.open(dir_ + "/store", &err)) << err;
+  std::unique_ptr<AttemptRunner> runner =
+      fork_attempt_runner(&st, /*timeout_s=*/60.0);
+  const std::string key = result_key(points[0].spec, false);
+  PointRun run;
+  run.key = &key;
+  run.point = &points[0];
+  run.with_baseline = false;
+  run.attempts = 1;
+  const double t0 = now_ms();
+  ASSERT_TRUE(runner->start(0, run, t0, &err)) << err;
+  EXPECT_DOUBLE_EQ(runner->next_deadline_ms(), t0 + 60000.0);
+  std::vector<int> fds;
+  runner->wake_fds(&fds);
+  ASSERT_EQ(fds.size(), 1u);
+  pollfd pfd{fds[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 60000), 1) << "the finished attempt woke nothing";
+  std::vector<AttemptResult> done;
+  runner->reap(now_ms(), &done);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_TRUE(done[0].ok) << done[0].why;
+  fds.clear();
+  runner->wake_fds(&fds);
+  EXPECT_TRUE(fds.empty());
+  EXPECT_EQ(runner->next_deadline_ms(), 0.0);
+  runner.reset();  // stops and reaps the idle worker
+  EXPECT_TRUE(no_children());
+}
+#endif
+
+#if defined(__linux__)
+// A SIGKILLed parent's idle workers read EOF and exit, even while a sibling
+// forked after them is still busy: every worker closes its siblings' socket
+// ends, or that sibling would hold an idle worker's socket open.
+TEST_F(CampaignTest, KilledParentsIdleWorkersExitOnEof) {
+  // Adopt the workers once their parent dies, so they can be waited on.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  ExperimentSpec spec = tiny_spec("orphans");
+  spec.sweep = {{"seed", {"1", "2"}}};
+  std::vector<GridPoint> points;
+  std::string err;
+  ASSERT_TRUE(expand_grid(spec, &points, &err)) << err;
+  configure_fault("hang@point:1:30000");  // slot 1's worker stays busy
+  int pids[2], ready[2];
+  ASSERT_EQ(::pipe(pids), 0);
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t parent = ::fork();
+  ASSERT_GE(parent, 0);
+  if (parent == 0) {
+    store::ResultStore st;
+    if (!st.open(dir_ + "/store", &err)) std::_Exit(1);
+    PointScheduler sched(&st,
+                         fork_attempt_runner(&st, 0.0,
+                                             [fd = pids[1]] {
+                                               const pid_t me = ::getpid();
+                                               (void)!::write(fd, &me,
+                                                              sizeof(me));
+                                             }),
+                         /*workers=*/2, /*max_attempts=*/1, /*backoff_ms=*/1);
+    // Point 0 done: its worker is idle. Report, then wait to be killed.
+    sched.hooks().resolve = [&](const PointRun&) {
+      (void)!::write(ready[1], "r", 1);
+      for (;;) ::pause();
+    };
+    sched.add_submission(1, "orphans", points, false, false);
+    for (;;) {
+      sched.step(now_ms());
+      sched.wait(now_ms());
+    }
+  }
+  store::fault_clear();
+  ::close(pids[1]);
+  ::close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1) << "the parent never resolved";
+  pid_t workers[2] = {-1, -1};
+  size_t got = 0;
+  while (got < sizeof(workers)) {
+    const ssize_t n = ::read(pids[0], reinterpret_cast<char*>(workers) + got,
+                             sizeof(workers) - got);
+    ASSERT_GT(n, 0) << "a worker never reported its pid";
+    got += static_cast<size_t>(n);
+  }
+  ::close(pids[0]);
+  ::close(ready[0]);
+  ASSERT_EQ(::kill(parent, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(parent, nullptr, 0), parent);
+
+  // Exactly one worker (the idle one) exits, with status 0, well before the
+  // busy one's 30 s hang ends.
+  pid_t exited = -1;
+  int status = 0;
+  for (int waited_ms = 0; waited_ms < 10000 && exited < 0; waited_ms += 5) {
+    for (const pid_t w : workers) {
+      if (::waitpid(w, &status, WNOHANG) == w) exited = w;
+    }
+    if (exited < 0) ::usleep(5000);
+  }
+  EXPECT_GT(exited, 0) << "the idle worker never saw EOF";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  for (const pid_t w : workers) {
+    if (w == exited) continue;
+    EXPECT_EQ(::waitpid(w, nullptr, WNOHANG), 0) << "the busy worker is hung";
+    ::kill(w, SIGKILL);
+    ::waitpid(w, nullptr, 0);
+  }
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 0), 0);
 }
 #endif
 

@@ -163,6 +163,28 @@ TEST_F(FaultFsTest, NthOrdinalCountsPerSite) {
   EXPECT_TRUE(write_file_atomic(path("c"), "3", &err));   // op 3: clean
 }
 
+// The op ordinals read back as counted, and installing a saved set makes
+// the next op take the ordinal after it, as in the process it came from.
+TEST_F(FaultFsTest, OpOrdinalsRoundTripThroughGetAndSet) {
+  std::string err;
+  EXPECT_EQ(fault_ops(), FaultOps{});
+  fault_configure(parsed("torn@write:3"));
+  EXPECT_TRUE(write_file_atomic(path("a"), "1", &err));  // op 1
+  std::string out;
+  EXPECT_FALSE(read_file(path("missing"), &out, &err));  // read op 1
+  const FaultOps saved = fault_ops();
+  EXPECT_EQ(saved[static_cast<size_t>(FaultSite::kWrite)], 1u);
+  EXPECT_EQ(saved[static_cast<size_t>(FaultSite::kRead)], 1u);
+  EXPECT_EQ(saved[static_cast<size_t>(FaultSite::kRename)], 0u);
+
+  EXPECT_TRUE(write_file_atomic(path("b"), "2", &err));   // op 2
+  EXPECT_FALSE(write_file_atomic(path("c"), "3", &err));  // op 3: torn
+  set_fault_ops(saved);  // back to one write done
+  EXPECT_EQ(fault_ops(), saved);
+  EXPECT_TRUE(write_file_atomic(path("d"), "4", &err));   // op 2 again
+  EXPECT_FALSE(write_file_atomic(path("e"), "5", &err));  // op 3 again: torn
+}
+
 TEST_F(FaultFsTest, TimesAffectsConsecutiveOps) {
   fault_configure(parsed("enospc@write:1x3"));
   std::string err;

@@ -25,6 +25,7 @@ TEST(Serve, RequiresPosix) {
 
 #else
 
+#include <errno.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -110,7 +111,10 @@ class ServeTest : public ::testing::Test {
       std::string err;
       if (!daemon.init(&err)) std::_Exit(3);
       daemon.run(&err);
-      std::_Exit(0);
+      // A clean stop leaves no worker behind, reaped or not.
+      const bool no_children =
+          ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+      std::_Exit(no_children ? 0 : 4);
     }
     daemon_pid_ = pid;
     for (int i = 0; i < 200; ++i) {
@@ -139,7 +143,8 @@ class ServeTest : public ::testing::Test {
     ASSERT_TRUE(c.call(simple_request("shutdown"), &resp, &err)) << err;
     int st = 0;
     ASSERT_EQ(::waitpid(daemon_pid_, &st, 0), daemon_pid_);
-    EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0)
+        << "the daemon failed or left a worker behind";
     daemon_pid_ = -1;
   }
 

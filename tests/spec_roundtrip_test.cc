@@ -8,7 +8,10 @@
 // outside the serializer's reach.
 #include <gtest/gtest.h>
 
+#include "src/api/campaign.h"
+#include "src/api/scheduler.h"
 #include "src/common/simctl.h"
+#include "src/store/faultfs.h"
 #include "src/testing/golden.h"
 #include "src/testing/scenario.h"
 #include "src/testing/snapshot.h"
@@ -75,6 +78,46 @@ TEST(SpecRoundTrip, ScenarioJsonEmbedsAReparsableSpec) {
   ASSERT_TRUE(api::spec_from_json(json::dump(*spec_v), &reparsed, &err))
       << err;
   EXPECT_EQ(api::spec_canonical(reparsed), api::spec_canonical(s.spec));
+}
+
+/// A campaign point reaches a forked worker as a job line carrying its
+/// spec JSON: every examples/campaign_quick.json grid point must decode to
+/// the same name and result key, with the rest of the job intact.
+TEST(SpecRoundTrip, CampaignGridPointsSurviveTheWorkerJob) {
+  std::string text, err;
+  ASSERT_TRUE(store::read_file(
+      std::string(FIREGUARD_SOURCE_DIR) + "/examples/campaign_quick.json",
+      &text, &err))
+      << err;
+  api::ExperimentSpec spec;
+  ASSERT_TRUE(api::spec_from_json(text, &spec, &err)) << err;
+  std::vector<api::GridPoint> points;
+  ASSERT_TRUE(api::expand_grid(spec, &points, &err)) << err;
+  ASSERT_EQ(points.size(), 200u);
+  const store::FaultOps ops = {3, 1, 4, 1};
+  for (u32 i = 0; i < points.size(); ++i) {
+    for (const bool with_baseline : {false, true}) {
+      const std::string key = api::result_key(points[i].spec, with_baseline);
+      api::PointRun run;
+      run.key = &key;
+      run.point = &points[i];
+      run.with_baseline = with_baseline;
+      run.index = i;
+      run.attempts = 2;
+      const std::string line = api::encode_worker_job(run, ops);
+      EXPECT_EQ(line.find('\n'), std::string::npos);
+      api::WorkerJob job;
+      ASSERT_TRUE(api::decode_worker_job(line, &job)) << line;
+      EXPECT_EQ(job.point.name, points[i].name);
+      EXPECT_EQ(job.key, key);
+      EXPECT_EQ(api::result_key(job.point.spec, with_baseline), key)
+          << points[i].name;
+      EXPECT_EQ(job.with_baseline, with_baseline);
+      EXPECT_EQ(job.index, i);
+      EXPECT_EQ(job.attempts, 2u);
+      EXPECT_EQ(job.fault_ops, ops);
+    }
+  }
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 //   $ fgsim campaign --spec grid.json --store runs/grid --json out.json
 //   $ fgsim campaign --store runs/grid --audit        # validate every entry
 //
-// Per-point robustness: each point runs in its own forked child (a crash or
-// hang costs one attempt, not the campaign), a --timeout watchdog SIGKILLs
-// hung points, and failed attempts retry with exponential backoff up to
+// Per-point robustness: points run in long-lived forked workers, one per
+// job slot (a crash or hang costs one attempt and that worker, not the
+// campaign), a --timeout watchdog SIGKILLs hung points, and failed attempts retry with exponential backoff up to
 // --max-attempts. See src/api/campaign.h for the full contract and
 // src/store/faultfs.h (FG_FAULT) for the fault-injection harness that
 // tests it.
@@ -45,8 +45,8 @@ void usage() {
       "  --timeout=SECS      per-point wall-clock watchdog (default off)\n"
       "  --backoff-ms=N      base retry backoff, doubled per attempt "
       "(default 50)\n"
-      "  --in-process        worker threads instead of forked children "
-      "(no crash/hang isolation)\n"
+      "  --in-process        worker threads instead of long-lived forked "
+      "workers (no crash/hang isolation)\n"
       "  --no-baseline       skip the unmonitored baseline / slowdown\n"
       "  --json PATH         write all stored outcomes as a JSON array\n"
       "  --quiet             suppress per-point progress lines\n"
