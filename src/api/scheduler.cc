@@ -147,8 +147,9 @@ bool send_all(int fd, const std::string& text) {
       WorkerJob job;
       if (decode_worker_job(buf.substr(0, nl), &job)) {
         store::set_fault_ops(job.fault_ops);
+        const std::string key = result_key(job.point.spec, job.with_baseline);
         PointRun run;
-        run.key = &job.key;
+        run.key = &key;
         run.point = &job.point;
         run.with_baseline = job.with_baseline;
         run.index = job.index;
@@ -423,7 +424,6 @@ std::string encode_worker_job(const PointRun& p, const store::FaultOps& ops) {
   json::Value v = json::Value::object();
   v.set("name", json::Value::of_str(p.point->name));
   v.set("spec", spec_to_json_value(p.point->spec));
-  v.set("key", json::Value::of_str(*p.key));
   v.set("with_baseline", json::Value::of_bool(p.with_baseline));
   v.set("index", json::Value::of(p.index));
   v.set("attempts", json::Value::of(p.attempts));
@@ -445,7 +445,6 @@ bool decode_worker_job(const std::string& line, WorkerJob* out) {
     return false;
   }
   out->point.name = v.get_str("name");
-  out->key = v.get_str("key");
   out->with_baseline = v.get_bool("with_baseline", true);
   out->index = static_cast<u32>(v.get_u64("index"));
   out->attempts = static_cast<u32>(v.get_u64("attempts"));

@@ -141,10 +141,9 @@ class AttemptRunner {
 
 /// One point attempt as a forked worker receives it. The point travels as
 /// its spec JSON: a worker forked before the submission arrived shares
-/// none of its memory.
+/// none of its memory. The worker derives the result key from the spec.
 struct WorkerJob {
   GridPoint point;
-  std::string key;
   bool with_baseline = true;
   u32 index = 0;
   u32 attempts = 0;

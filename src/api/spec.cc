@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <type_traits>
+#include <variant>
 
+#include "src/common/check.h"
 #include "src/common/env.h"
 #include "src/soc/figures.h"
 
@@ -222,30 +226,57 @@ soc::KernelDeployment& first_deployment(ExperimentSpec* spec) {
   return spec->soc.kernels.front();
 }
 
-struct SetKey {
-  const char* key;
-  const char* help;
-  bool (*apply)(ExperimentSpec*, const std::string& key,
-                const std::string& val, std::string* err);
-};
-
+/// A decimal that fits the integer type T.
 template <typename T>
 bool set_u(T* field, const std::string& key, const std::string& val,
            std::string* err) {
   u64 v = 0;
   if (!parse_u64_val(val, &v, key, err)) return false;
+  constexpr u64 kMax = static_cast<u64>(std::numeric_limits<T>::max());
+  if (v > kMax) {
+    if (err != nullptr) {
+      *err = "--set " + key + ": \"" + val + "\" is out of range (max " +
+             std::to_string(kMax) + ")";
+    }
+    return false;
+  }
   *field = static_cast<T>(v);
   return true;
 }
 
+/// `val` into a plain spec field, with the parser for the field's type.
+bool set_field(const soc::FieldRef& f, const std::string& key,
+               const std::string& val, std::string* err) {
+  return std::visit(
+      [&](auto* x) {
+        using T = std::remove_pointer_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return parse_bool_val(val, x, key, err);
+        } else {
+          return set_u(x, key, val, err);
+        }
+      },
+      f);
+}
+
+/// A knob either sets the plain spec field at `path` or, with path nullptr,
+/// runs its own `apply`.
+struct SetKey {
+  const char* key;
+  const char* path;
+  const char* help;
+  bool (*apply)(ExperimentSpec*, const std::string& key,
+                const std::string& val, std::string* err) = nullptr;
+};
+
 const SetKey kSetKeys[] = {
-    {"name", "experiment label",
+    {"name", nullptr, "experiment label",
      [](ExperimentSpec* s, const std::string&, const std::string& v,
         std::string*) {
        s->name = v;
        return true;
      }},
-    {"mode", "baseline | fireguard | software",
+    {"mode", nullptr, "baseline | fireguard | software",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        const std::optional<Mode> m = mode_from_name(v);
@@ -256,7 +287,7 @@ const SetKey kSetKeys[] = {
        s->mode = *m;
        return true;
      }},
-    {"scheme",
+    {"scheme", nullptr,
      "software scheme: shadow_stack_llvm_aarch64 | asan_aarch64 | "
      "asan_x86_64 | dangsan_x86_64",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
@@ -272,7 +303,8 @@ const SetKey kSetKeys[] = {
        s->mode = Mode::kSoftware;
        return true;
      }},
-    {"workload", "workload profile name (blackscholes .. x264, memstall)",
+    {"workload", nullptr,
+     "workload profile name (blackscholes .. x264, memstall)",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        if (const trace::WorkloadProfile* p = trace::find_profile(v)) {
@@ -284,7 +316,7 @@ const SetKey kSetKeys[] = {
        }
        return false;
      }},
-    {"trace_len",
+    {"trace_len", nullptr,
      "dynamic instructions; also rescales warmup to one tenth",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
@@ -294,15 +326,10 @@ const SetKey kSetKeys[] = {
        s->workload.warmup_insts = n / 10;
        return true;
      }},
-    {"warmup", "warmup instructions (attacks inject after warmup)",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->workload.warmup_insts, k, v, err);
-     }},
-    {"seed", "workload stream seed",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) { return set_u(&s->workload.seed, k, v, err); }},
-    {"attacks",
+    {"warmup", "workload.warmup_insts",
+     "warmup instructions (attacks inject after warmup)"},
+    {"seed", "workload.seed", "workload stream seed"},
+    {"attacks", nullptr,
      "attack plan \"kind:count[,kind:count...]\" (pc_hijack | ret_corrupt | "
      "heap_oob | use_after_free)",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
@@ -317,24 +344,24 @@ const SetKey kSetKeys[] = {
          const std::string kind_s = item.substr(0, colon);
          const std::optional<trace::AttackKind> kind =
              soc::attack_kind_from_name(kind_s);
-         u64 count = 1;
-         if (!kind ||
-             (colon != std::string::npos &&
-              !parse_u64_val(item.substr(colon + 1), &count, k, err))) {
+         u32 count = 1;
+         if (!kind || (colon != std::string::npos &&
+                       !set_u(&count, k, item.substr(colon + 1), err))) {
            if (err != nullptr && (err->empty() || !kind)) {
              *err = "--set " + k + ": bad attack item \"" + item + "\"";
            }
            return false;
          }
-         plan.emplace_back(*kind, static_cast<u32>(count));
+         plan.emplace_back(*kind, count);
          if (comma == std::string::npos) break;
          pos = comma + 1;
        }
        s->workload.attacks = std::move(plan);
        return true;
      }},
-    {"kernel", "guardian kernel of the first deployment: pmc | shadow_stack "
-               "| asan | uaf",
+    {"kernel", nullptr,
+     "guardian kernel of the first deployment: pmc | shadow_stack | asan | "
+     "uaf",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        const std::optional<kernels::KernelKind> kind =
@@ -346,17 +373,18 @@ const SetKey kSetKeys[] = {
        first_deployment(s).kind = *kind;
        return true;
      }},
-    {"engines", "µcores of the first deployment",
+    {"engines", nullptr, "µcores of the first deployment",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        return set_u(&first_deployment(s).n_engines, k, v, err);
      }},
-    {"ha", "use one hardware accelerator for the first deployment",
+    {"ha", nullptr, "use one hardware accelerator for the first deployment",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        return parse_bool_val(v, &first_deployment(s).use_ha, k, err);
      }},
-    {"model", "programming model: conventional | duff | unrolled | hybrid",
+    {"model", nullptr,
+     "programming model: conventional | duff | unrolled | hybrid",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        const std::optional<kernels::ProgModel> m = soc::prog_model_from_name(v);
@@ -367,8 +395,9 @@ const SetKey kSetKeys[] = {
        first_deployment(s).model = *m;
        return true;
      }},
-    {"policy", "scheduling policy: fixed | round_robin | block "
-               "(sets policy_overridden)",
+    {"policy", nullptr,
+     "scheduling policy: fixed | round_robin | block (sets "
+     "policy_overridden)",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        const std::optional<core::SchedPolicy> p = soc::sched_policy_from_name(v);
@@ -381,92 +410,30 @@ const SetKey kSetKeys[] = {
        d.policy_overridden = true;
        return true;
      }},
-    {"filter_width", "mini-filters (1/2/4)",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.frontend.filter.width, k, v, err);
-     }},
-    {"filter_fifo_depth", "per-lane filter FIFO depth",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.frontend.filter.fifo_depth, k, v, err);
-     }},
-    {"cdc_depth", "clock-domain-crossing FIFO depth",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.frontend.cdc_depth, k, v, err);
-     }},
-    {"freq_ratio", "fast:slow clock ratio",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.frontend.freq_ratio, k, v, err);
-     }},
-    {"mapper_width", "mapper issue width (footnote 5)",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.frontend.mapper_width, k, v, err);
-     }},
-    {"msgq_depth", "per-engine message-queue depth",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.ucore.msgq_depth, k, v, err);
-     }},
-    {"isax_ma_stage", "ISAX in the MA stage (false = post-commit)",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return parse_bool_val(v, &s->soc.ucore.isax_ma_stage, k, err);
-     }},
-    {"noc_hop_latency", "mesh NoC per-hop latency",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.noc_hop_latency, k, v, err);
-     }},
-    {"stlf", "store-to-load forwarding in the main core",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return parse_bool_val(v, &s->soc.core.store_load_forwarding, k, err);
-     }},
-    {"rob", "main-core ROB entries",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.core.rob_entries, k, v, err);
-     }},
-    {"iq", "main-core issue-queue entries",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.core.iq_entries, k, v, err);
-     }},
-    {"ldq", "main-core load-queue entries",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.core.ldq_entries, k, v, err);
-     }},
-    {"stq", "main-core store-queue entries",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.core.stq_entries, k, v, err);
-     }},
-    {"phys_regs", "main-core physical registers",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.core.phys_regs, k, v, err);
-     }},
-    {"dram_latency", "flat DRAM latency in core cycles",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.mem.dram_latency, k, v, err);
-     }},
-    {"detailed_dram", "bank/row/bus DRAM model",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return parse_bool_val(v, &s->soc.mem.detailed_dram, k, err);
-     }},
-    {"detailed_ptw", "real Sv39 page-table walks",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return parse_bool_val(v, &s->soc.mem.detailed_ptw, k, err);
-     }},
-    {"detailed_mem", "detailed_dram + detailed_ptw together",
+    {"filter_width", "soc.frontend.filter_width", "mini-filters (1/2/4)"},
+    {"filter_fifo_depth", "soc.frontend.filter_fifo_depth",
+     "per-lane filter FIFO depth"},
+    {"cdc_depth", "soc.frontend.cdc_depth",
+     "clock-domain-crossing FIFO depth"},
+    {"freq_ratio", "soc.frontend.freq_ratio", "fast:slow clock ratio"},
+    {"mapper_width", "soc.frontend.mapper_width",
+     "mapper issue width (footnote 5)"},
+    {"msgq_depth", "soc.ucore.msgq_depth", "per-engine message-queue depth"},
+    {"isax_ma_stage", "soc.ucore.isax_ma_stage",
+     "ISAX in the MA stage (false = post-commit)"},
+    {"noc_hop_latency", "soc.noc_hop_latency", "mesh NoC per-hop latency"},
+    {"stlf", "soc.core.store_load_forwarding",
+     "store-to-load forwarding in the main core"},
+    {"rob", "soc.core.rob_entries", "main-core ROB entries"},
+    {"iq", "soc.core.iq_entries", "main-core issue-queue entries"},
+    {"ldq", "soc.core.ldq_entries", "main-core load-queue entries"},
+    {"stq", "soc.core.stq_entries", "main-core store-queue entries"},
+    {"phys_regs", "soc.core.phys_regs", "main-core physical registers"},
+    {"dram_latency", "soc.mem.dram_latency",
+     "flat DRAM latency in core cycles"},
+    {"detailed_dram", "soc.mem.detailed_dram", "bank/row/bus DRAM model"},
+    {"detailed_ptw", "soc.mem.detailed_ptw", "real Sv39 page-table walks"},
+    {"detailed_mem", nullptr, "detailed_dram + detailed_ptw together",
      [](ExperimentSpec* s, const std::string& k, const std::string& v,
         std::string* err) {
        bool b = false;
@@ -475,11 +442,7 @@ const SetKey kSetKeys[] = {
        s->soc.mem.detailed_ptw = b;
        return true;
      }},
-    {"max_fast_cycles", "simulation cycle cap",
-     [](ExperimentSpec* s, const std::string& k, const std::string& v,
-        std::string* err) {
-       return set_u(&s->soc.max_fast_cycles, k, v, err);
-     }},
+    {"max_fast_cycles", "soc.max_fast_cycles", "simulation cycle cap"},
 };
 
 }  // namespace
@@ -487,7 +450,12 @@ const SetKey kSetKeys[] = {
 bool apply_set(ExperimentSpec* spec, const std::string& key,
                const std::string& value, std::string* err) {
   for (const SetKey& sk : kSetKeys) {
-    if (key == sk.key) return sk.apply(spec, key, value, err);
+    if (key != sk.key) continue;
+    if (sk.apply != nullptr) return sk.apply(spec, key, value, err);
+    const std::optional<soc::FieldRef> f =
+        soc::find_field(&spec->workload, &spec->soc, sk.path);
+    FG_CHECK(f.has_value());  // api_test resolves every row's path
+    return set_field(*f, key, value, err);
   }
   if (err != nullptr) {
     *err = "--set: unknown key \"" + key + "\" (see `fgsim spec --keys`)";
@@ -495,9 +463,11 @@ bool apply_set(ExperimentSpec* spec, const std::string& key,
   return false;
 }
 
-std::vector<std::pair<std::string, std::string>> settable_keys() {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const SetKey& sk : kSetKeys) out.emplace_back(sk.key, sk.help);
+std::vector<SetKnob> settable_keys() {
+  std::vector<SetKnob> out;
+  for (const SetKey& sk : kSetKeys) {
+    out.push_back({sk.key, sk.path != nullptr ? sk.path : "", sk.help});
+  }
   return out;
 }
 

@@ -79,8 +79,15 @@ std::string spec_canonical(const ExperimentSpec& spec);
 bool apply_set(ExperimentSpec* spec, const std::string& key,
                const std::string& value, std::string* err);
 
-/// The knob names apply_set understands, with one-line help each.
-std::vector<std::pair<std::string, std::string>> settable_keys();
+/// One knob apply_set understands. Most set the one plain spec field at
+/// `path` ("soc.core.rob_entries"); the rest have their own logic and an
+/// empty path.
+struct SetKnob {
+  std::string key;
+  std::string path;
+  std::string help;
+};
+std::vector<SetKnob> settable_keys();
 
 // --- sweep expansion --------------------------------------------------------
 struct GridPoint {

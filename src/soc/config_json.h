@@ -1,12 +1,22 @@
 // Exact JSON round-trips for the simulator's configuration types.
 //
+// Each config struct lists its fields once (config_json.cc): one writer,
+// one reader, the reader's unknown-key check and the `--set` path finder
+// all walk that list, so the accepted schema IS the emitted schema. Only
+// what is not a plain field is written by hand: the profile's name rebase,
+// the kernel deployment's enum strings and its "policy present iff
+// overridden" rule, and the attacks and kernels arrays.
+//
 // `to_json` writes EVERY field (the export of a config is self-contained
 // and bit-exact: u64 counters stay u64, doubles are emitted with enough
 // digits to reparse to the identical bits). `from_json` starts from a
 // caller-supplied base — typically the library defaults (`table2_soc()`,
 // `profile_by_name(name)`) — and overrides only the fields present, so a
 // hand-written spec file can name a profile and tweak two knobs while an
-// exported file reproduces its source struct field-for-field.
+// exported file reproduces its source struct field-for-field. It rejects,
+// naming the dotted path ("soc.mem.l2: unknown key ..."), any key that is
+// not a field, a value of the wrong kind, and an integer that does not fit
+// the field's C++ type.
 //
 // This is the canonical serialization: the experiment spec (src/api) embeds
 // these objects, and the BaselineCache keys on the compact dump of the
@@ -16,6 +26,8 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 
 #include "src/baseline/instrument.h"
 #include "src/common/json.h"
@@ -32,22 +44,24 @@ std::optional<trace::AttackKind> attack_kind_from_name(const std::string&);
 std::optional<baseline::SwScheme> sw_scheme_from_name(const std::string&);
 
 // --- workload ------------------------------------------------------------
-json::Value profile_to_json(const trace::WorkloadProfile& p);
-/// Base: the named profile when "name" is known, else `base`.
-bool profile_from_json(const json::Value& v, trace::WorkloadProfile* out,
-                       std::string* err);
 json::Value workload_to_json(const trace::WorkloadConfig& wl);
+/// A known "profile.name" first rebases the profile on the library one;
+/// the profile fields present then override it.
 bool workload_from_json(const json::Value& v, trace::WorkloadConfig* out,
                         std::string* err);
 
 // --- SoC -----------------------------------------------------------------
-json::Value deployment_to_json(const KernelDeployment& d);
-bool deployment_from_json(const json::Value& v, KernelDeployment* out,
-                          std::string* err);
 json::Value soc_to_json(const SocConfig& sc);
 /// Starts from `*out` (pass `table2_soc()` for the paper defaults) and
 /// overrides the fields present in `v`.
 bool soc_from_json(const json::Value& v, SocConfig* out, std::string* err);
+
+/// A plain integer or bool field of the field lists, by address.
+using FieldRef = std::variant<u32*, u64*, int*, bool*>;
+/// The integer or bool field at a dotted spec path ("soc.core.rob_entries",
+/// "workload.seed"), or nullopt when the path names none.
+std::optional<FieldRef> find_field(trace::WorkloadConfig* wl, SocConfig* sc,
+                                   std::string_view path);
 
 /// Canonical serialized baseline-relevant sub-spec: everything the
 /// unmonitored baseline run reads (workload stream incl. attacks — attacks

@@ -4,6 +4,7 @@
 // configuration must reproduce the legacy run_fireguard() path bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -118,6 +119,61 @@ TEST(ExperimentSpec, UnknownKeysAndEnumsAreLoudErrors) {
                               &err));
 }
 
+TEST(ExperimentSpec, WrongKindAndOutOfRangeLeavesAreLoudErrors) {
+  // Each case names the dotted path of the offending leaf; none of them may
+  // fall back to the default or truncate to the field's width.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"soc": {"core": {"rob_entries": "64"}}})",
+       "soc.core.rob_entries: expected an integer"},
+      {R"({"soc": {"core": {"rob_entries": 4294967360}}})",
+       "soc.core.rob_entries: 4294967360 is out of range"},
+      {R"({"soc": {"core": {"store_load_forwarding": 1}}})",
+       "soc.core.store_load_forwarding: expected true or false"},
+      {R"({"workload": {"profile": {"n_funcs": 48.5}}})",
+       "workload.profile.n_funcs: expected an integer"},
+      {R"({"workload": {"profile": {"n_funcs": 2147483648}}})",
+       "workload.profile.n_funcs: 2147483648 is out of range"},
+      {R"({"workload": {"seed": 1e3}})", "workload.seed: expected an integer"},
+      {R"({"workload": {"profile": {"f_load": true}}})",
+       "workload.profile.f_load: expected a number"},
+      {R"({"workload": {"attacks": [{"kind": "pc_hijack",
+                                       "count": 4294967296}]}})",
+       "workload.attacks[].count: 4294967296 is out of range"},
+      {R"({"workload": {"attacks": [{"kind": "pc_hijack", "cnt": 2}]}})",
+       "workload.attacks[]: unknown key \"cnt\""},
+      {R"({"soc": {"kernels": [{"engines": 4294967298}]}})",
+       "soc.kernels[].engines: 4294967298 is out of range"},
+      {R"({"soc": {"kernels": [{"kind": 3}]}})",
+       "soc.kernels[].kind: expected a string"},
+      {R"({"soc": {"mem": {"l2": 512}}})", "soc.mem.l2: expected an object"},
+      // Every unknown-key message carries the full path, main-memory caches
+      // included.
+      {R"({"soc": {"mem": {"l2": {"sizee": 1}}}})",
+       "soc.mem.l2: unknown key \"sizee\""},
+      {R"({"soc": {"ucore": {"dcache": {"sizee": 1}}}})",
+       "soc.ucore.dcache: unknown key \"sizee\""},
+  };
+  for (const auto& [text, want] : cases) {
+    ExperimentSpec spec;
+    std::string err;
+    EXPECT_FALSE(spec_from_json(text, &spec, &err)) << text;
+    EXPECT_NE(err.find(want), std::string::npos) << text << " -> " << err;
+  }
+  // Doubles still take integers, and fields at their type's maximum load.
+  ExperimentSpec spec;
+  std::string err;
+  ASSERT_TRUE(spec_from_json(
+      R"({"workload": {"seed": 18446744073709551615,
+                       "profile": {"f_load": 1, "n_funcs": 2147483647}},
+          "soc": {"core": {"rob_entries": 4294967295}}})",
+      &spec, &err))
+      << err;
+  EXPECT_EQ(spec.workload.profile.f_load, 1.0);
+  EXPECT_EQ(spec.workload.profile.n_funcs, 2147483647);
+  EXPECT_EQ(spec.workload.seed, 18446744073709551615ull);
+  EXPECT_EQ(spec.soc.core.rob_entries, 4294967295u);
+}
+
 TEST(ExperimentSpec, Table2ExampleFileMatchesTheProgrammaticSpec) {
   ExperimentSpec from_file;
   std::string err;
@@ -195,6 +251,86 @@ TEST(ApplySet, KnownKeysApplyUnknownKeysFail) {
   EXPECT_FALSE(apply_set(&spec, "no_such_knob", "1", &err));
   EXPECT_NE(err.find("no_such_knob"), std::string::npos);
   EXPECT_FALSE(apply_set(&spec, "engines", "many", &err));
+}
+
+TEST(ApplySet, OutOfRangeValuesAreRejectedNotTruncated) {
+  ExperimentSpec spec = default_spec();
+  const std::string before = spec_canonical(spec);
+  std::string err;
+  EXPECT_FALSE(apply_set(&spec, "rob", "4294967360", &err));
+  EXPECT_EQ(err, "--set rob: \"4294967360\" is out of range (max 4294967295)");
+  EXPECT_FALSE(apply_set(&spec, "engines", "4294967298", &err));
+  EXPECT_EQ(err,
+            "--set engines: \"4294967298\" is out of range (max 4294967295)");
+  EXPECT_FALSE(apply_set(&spec, "attacks", "heap_oob:4294967296", &err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  EXPECT_FALSE(apply_set(&spec, "seed", "18446744073709551616", &err));
+  EXPECT_EQ(err, "--set seed: \"18446744073709551616\" is not a decimal u64");
+  EXPECT_FALSE(apply_set(&spec, "stlf", "2", &err));
+  EXPECT_NE(err.find("is not a bool"), std::string::npos) << err;
+  EXPECT_EQ(spec_canonical(spec), before);
+
+  ASSERT_TRUE(apply_set(&spec, "rob", "4294967295", &err)) << err;
+  EXPECT_EQ(spec.soc.core.rob_entries, 4294967295u);
+  ASSERT_TRUE(apply_set(&spec, "seed", "18446744073709551615", &err)) << err;
+  EXPECT_EQ(spec.workload.seed, 18446744073709551615ull);
+}
+
+/// The leaf of an exported spec at a flattened schema key
+/// ("soc.kernels[].engines"), or nullptr.
+json::Value* leaf_at(json::Value* v, const std::string& key) {
+  size_t pos = 0;
+  while (v != nullptr && pos <= key.size()) {
+    const size_t dot = std::min(key.find('.', pos), key.size());
+    std::string part = key.substr(pos, dot - pos);
+    const bool array = part.ends_with("[]");
+    if (array) part.resize(part.size() - 2);
+    const auto it = v->obj.find(part);
+    v = it == v->obj.end() ? nullptr : &it->second;
+    if (v != nullptr && array) v = v->arr.empty() ? nullptr : &v->arr[0];
+    pos = dot + 1;
+  }
+  return v;
+}
+
+/// A spec that populates every optional branch of the schema, as
+/// spec_schema_keys() does.
+ExperimentSpec full_sample() {
+  ExperimentSpec s = default_spec();
+  s.mode = Mode::kSoftware;
+  s.workload.attacks = {{trace::AttackKind::kHeapOob, 1}};
+  s.soc.kernels = {soc::deploy(kernels::KernelKind::kAsan, 4,
+                               kernels::ProgModel::kHybrid, false,
+                               core::SchedPolicy::kRoundRobin)};
+  s.sweep = {{"engines", {"2"}}};
+  return s;
+}
+
+TEST(ApplySet, EveryAliasSetsTheSchemaFieldItNames) {
+  const std::vector<std::string> schema = spec_schema_keys();
+  size_t aliases = 0;
+  for (const SetKnob& k : settable_keys()) {
+    if (k.path.empty()) continue;
+    ++aliases;
+    EXPECT_TRUE(std::binary_search(schema.begin(), schema.end(), k.path))
+        << k.key << " -> " << k.path << " is not a spec_schema_keys() entry";
+    // Setting the alias must change that leaf and nothing else.
+    ExperimentSpec spec = full_sample();
+    json::Value want = spec_to_json_value(spec);
+    json::Value* leaf = leaf_at(&want, k.path);
+    ASSERT_NE(leaf, nullptr) << k.path;
+    std::string text = "4242";
+    if (leaf->kind == json::Value::Kind::kBool) {
+      text = leaf->b ? "false" : "true";
+      *leaf = json::Value::of_bool(!leaf->b);
+    } else {
+      *leaf = json::Value::of(4242);
+    }
+    std::string err;
+    ASSERT_TRUE(apply_set(&spec, k.key, text, &err)) << err;
+    EXPECT_EQ(spec_canonical(spec), json::dump(want)) << k.key;
+  }
+  EXPECT_EQ(aliases, 20u);
 }
 
 TEST(ApplySet, WorkloadKnobAndSpecFileShareOneProfileLookup) {
@@ -305,10 +441,40 @@ TEST(SpecSchema, EveryFieldAndKnobIsDocumentedInApiMd) {
         << "docs/API.md is missing schema key `" << key
         << "` — update the ExperimentSpec schema reference";
   }
-  for (const auto& [key, help] : settable_keys()) {
-    EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
-        << "docs/API.md is missing --set knob `" << key << "`";
+  for (const SetKnob& k : settable_keys()) {
+    EXPECT_NE(doc.find("`" + k.key + "`"), std::string::npos)
+        << "docs/API.md is missing --set knob `" << k.key << "`";
   }
+}
+
+/// Every number and bool leaf of the schema survives import and export
+/// with a value of its own: a field the reader dropped, or read into a
+/// neighbour, would come back changed. The fuzzer never varies fields like
+/// soc.mem.ptw.root_base, so nothing else would notice.
+TEST(SpecSchema, EveryLeafRoundTripsADistinctValue) {
+  const json::Value base = spec_to_json_value(full_sample());
+  u64 next = 1000;
+  size_t leaves = 0;
+  for (const std::string& key : spec_schema_keys()) {
+    json::Value v = base;
+    json::Value* leaf = leaf_at(&v, key);
+    ASSERT_NE(leaf, nullptr) << key;
+    if (leaf->kind == json::Value::Kind::kBool) {
+      *leaf = json::Value::of_bool(!leaf->b);
+    } else if (leaf->kind == json::Value::Kind::kNumber) {
+      *leaf = leaf->is_float ? json::Value::of_double(next + 0.25)
+                             : json::Value::of(next);
+      ++next;
+    } else {
+      continue;  // strings, enums and arrays
+    }
+    ++leaves;
+    ExperimentSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec_from_json_value(v, &spec, &err)) << key << ": " << err;
+    EXPECT_EQ(spec_canonical(spec), json::dump(v)) << key;
+  }
+  EXPECT_GE(leaves, 147u);
 }
 
 TEST(SpecSchema, BaselineCacheKeyIsTheCanonicalSubSpec) {

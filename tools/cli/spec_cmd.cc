@@ -67,8 +67,8 @@ int spec_main(int argc, char** argv) {
   }
 
   if (keys) {
-    for (const auto& [key, help] : api::settable_keys()) {
-      std::printf("%-20s %s\n", key.c_str(), help.c_str());
+    for (const api::SetKnob& k : api::settable_keys()) {
+      std::printf("%-20s %s\n", k.key.c_str(), k.help.c_str());
     }
     return 0;
   }
