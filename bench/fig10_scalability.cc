@@ -4,7 +4,7 @@
 // light kernels); ASan and UaF sweep {2, 4, 6, 8, 10, 12}.
 //
 // The grid itself lives in src/api/spec.cc (fig10_points), shared with
-// `fgsim speed` so the speed trajectory always measures the real grid.
+// `fgsim speed` so its parallel-vs-serial audit covers the real grid.
 //
 // Paper shape to check: PMC 2µ=1.20 -> 4µ=1.02 (x264 lags) -> 6µ all <1.05;
 // SS 2µ=1.073 -> 4µ=1.021 -> 6µ=1.004; ASan heavy (2µ=1.86, bodytrack /
@@ -16,7 +16,7 @@ namespace fgbench {
 namespace {
 
 void register_all() {
-  // Same grid `fgsim speed` measures. Names are
+  // Same grid `fgsim speed` audits. Names are
   // "fig10/<series>/<workload>"; the series is the middle part.
   for (api::GridPoint& p : api::fig10_points(soc::default_trace_len())) {
     const size_t lo = p.name.find('/') + 1;

@@ -5,8 +5,9 @@
 // synchronously or `run_all()` the sweep grid (the spec's axes expanded as
 // a cross product) across the shared ThreadPool. A session can also be
 // built from a ready point list — the figure grids the bench binaries and
-// `fgsim speed` assemble in code. Every point produces a
-// RunOutcome: the all-integer StatSnapshot (bit-exact, JSON-exportable),
+// `fgsim speed`'s parallel-vs-serial audit assemble in code. Every point
+// produces a RunOutcome: the all-integer StatSnapshot (bit-exact,
+// JSON-exportable),
 // the derived RunResult metrics (IPC, stall fractions, detection
 // latencies, SchedStats), and — unless disabled — the unmonitored baseline
 // cycles and slowdown, memoized across the grid by the session's
@@ -133,8 +134,8 @@ class SimSession {
 };
 
 /// The one shared run path under every front-end (SimSession — and with it
-/// `fgsim run` / `sweep`, the bench binaries and `fgsim speed` — the fuzz
-/// driver's scenario runner, the golden corpus): simulate
+/// `fgsim run` / `sweep`, the bench binaries and `fgsim speed`'s audits —
+/// the fuzz driver's scenario runner, the golden corpus): simulate
 /// `spec` to completion under the CURRENT scheduler mode and freeze the
 /// outcome. Baseline cycles/slowdown are NOT attached (that is session
 /// policy); invariant-counter deltas for the run are. Those deltas come

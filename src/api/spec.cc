@@ -102,10 +102,14 @@ bool spec_from_json_value(const Value& root, ExperimentSpec* out,
     return false;
   }
   for (const auto& [k, e] : root.obj) {
-    (void)e;
-    if (k != "schema" && k != "name" && k != "mode" && k != "scheme" &&
-        k != "workload" && k != "soc" && k != "sweep") {
+    const bool is_str =
+        k == "schema" || k == "name" || k == "mode" || k == "scheme";
+    if (!is_str && k != "workload" && k != "soc" && k != "sweep") {
       if (err != nullptr) *err = "spec: unknown key \"" + k + "\"";
+      return false;
+    }
+    if (is_str && e.kind != Value::Kind::kString) {
+      if (err != nullptr) *err = "spec." + k + ": expected a string";
       return false;
     }
   }
@@ -148,6 +152,20 @@ bool spec_from_json_value(const Value& root, ExperimentSpec* out,
     }
     spec.sweep.clear();
     for (const Value& av : axes->arr) {
+      if (!av.is_object()) {
+        if (err != nullptr) *err = "spec.sweep[]: expected an object";
+        return false;
+      }
+      for (const auto& [k, e] : av.obj) {
+        if (k != "key" && k != "values") {
+          if (err != nullptr) *err = "spec.sweep[]: unknown key \"" + k + "\"";
+          return false;
+        }
+        if (k == "key" && e.kind != Value::Kind::kString) {
+          if (err != nullptr) *err = "spec.sweep[].key: expected a string";
+          return false;
+        }
+      }
       SweepAxis axis;
       axis.key = av.get_str("key");
       const Value* vals = av.get("values");

@@ -106,7 +106,7 @@ bool expand_grid(const ExperimentSpec& spec, std::vector<GridPoint>* out,
 /// nine paper workloads — 162 points named "fig10/<series>/<workload>",
 /// series "<kernel>/<n>ucores". `quick` shrinks it to PMC+ASan at {2,4}
 /// (36 points) for CI-sized runs. Defined once so bench_fig10_scalability
-/// and `fgsim speed` run the SAME points.
+/// and `fgsim speed`'s parallel-vs-serial audit run the SAME points.
 std::vector<GridPoint> fig10_points(u64 n_insts, bool quick = false);
 
 /// Flattened JSON schema of a fully-populated spec ("soc.core.rob_entries",

@@ -34,8 +34,9 @@ KernelDeployment deploy(
     std::optional<core::SchedPolicy> policy = std::nullopt);
 
 /// Table II with the detailed DRAM and page-table-walk timing models on —
-/// the memory/stall-bound configuration the event scheduler's speedup
-/// acceptance is measured against (`fgsim speed`, skip-stress tests).
+/// the memory/stall-bound configuration the event scheduler's skip paths
+/// are measured and audited on (fgperf's hotloop_memstall, `fgsim speed`,
+/// skip-stress tests).
 SocConfig memstall_soc();
 
 /// The synthetic memstall workload (trace profile "memstall") at `n_insts`,

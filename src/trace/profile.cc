@@ -135,8 +135,8 @@ std::vector<WorkloadProfile> build_profiles() {
      // flow so the analysis engines stay quiet). IPC ~0.05 with the detailed
      // DRAM/PTW models: nearly every cycle is provably-dead miss latency,
      // which is exactly what the wide-horizon skip paths must convert into
-     // wall-clock speedup (fgsim speed's memstall hot loop and the
-     // stall-bound golden scenarios both draw this by name).
+     // wall-clock speedup (fgperf's hotloop_memstall, fgsim speed's memstall
+     // audit and the stall-bound golden scenarios all draw this by name).
     WorkloadProfile p;
     p.name = "memstall";
     p.f_load = 0.50; p.f_store = 0.04; p.f_fp = 0.02; p.f_muldiv = 0.0;

@@ -152,6 +152,17 @@ TEST(ExperimentSpec, WrongKindAndOutOfRangeLeavesAreLoudErrors) {
        "soc.mem.l2: unknown key \"sizee\""},
       {R"({"soc": {"ucore": {"dcache": {"sizee": 1}}}})",
        "soc.ucore.dcache: unknown key \"sizee\""},
+      // The top-level strings and the sweep axes are as strict as the leaves.
+      {R"({"name": 5})", "spec.name: expected a string"},
+      {R"({"mode": 3})", "spec.mode: expected a string"},
+      {R"({"mode": "software", "scheme": false})",
+       "spec.scheme: expected a string"},
+      {R"({"schema": 1})", "spec.schema: expected a string"},
+      {R"({"sweep": [{"key": "rob", "values": ["64"], "extra": 1}]})",
+       "spec.sweep[]: unknown key \"extra\""},
+      {R"({"sweep": [{"key": 7, "values": ["64"]}]})",
+       "spec.sweep[].key: expected a string"},
+      {R"({"sweep": ["rob"]})", "spec.sweep[]: expected an object"},
   };
   for (const auto& [text, want] : cases) {
     ExperimentSpec spec;

@@ -79,6 +79,28 @@ TEST_F(CliExitCodesTest, UsageErrorsExitTwo) {
             cli::kExitUsage);
 }
 
+TEST_F(CliExitCodesTest, MalformedNumericFlagsAndRetiredSpeedFlagsExitTwo) {
+  // Each rejected before any work starts: a suffix, no digits, or a value
+  // past the field's width is a usage error, never a truncated count.
+  const std::string spec = write_tiny_spec();
+  const std::string store = " --store " + dir_ + "/s";
+  EXPECT_EQ(fgsim("run --spec " + spec + " --attacks=5x"), cli::kExitUsage);
+  EXPECT_EQ(fgsim("sweep --spec " + spec + " --jobs=abc"), cli::kExitUsage);
+  EXPECT_EQ(fgsim("campaign --spec " + spec + store + " --jobs=4x"),
+            cli::kExitUsage);
+  EXPECT_EQ(fgsim("campaign --spec " + spec + store + " --backoff-ms=-1"),
+            cli::kExitUsage);
+  EXPECT_EQ(fgsim("serve" + store + " --socket " + dir_ +
+                  "/fg.sock --workers 4294967297"),
+            cli::kExitUsage);
+  EXPECT_EQ(fgsim("jobs --cancel=7x"), cli::kExitUsage);
+  EXPECT_EQ(fgsim("speed --jobs=4x"), cli::kExitUsage);
+  EXPECT_EQ(fgsim("speed --trace-len=20k"), cli::kExitUsage);
+  // The timing history and its gate are gone; their flags are unknown.
+  EXPECT_EQ(fgsim("speed --check"), cli::kExitUsage);
+  EXPECT_EQ(fgsim("speed --out=x"), cli::kExitUsage);
+}
+
 TEST_F(CliExitCodesTest, SetWorkloadTakesEveryLibraryProfile) {
   EXPECT_EQ(fgsim("spec --set workload=x264"), cli::kExitOk);
   EXPECT_EQ(fgsim("spec --set workload=memstall"), cli::kExitOk);

@@ -93,10 +93,14 @@ int campaign_main(int argc, char** argv) {
       }
       sets.emplace_back(v.substr(0, eq), v.substr(eq + 1));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = static_cast<u32>(std::strtoul(arg.c_str() + 7, nullptr, 10));
+      if (!parse_flag("campaign", "--jobs", arg.c_str() + 7, &cfg.jobs)) {
+        return kExitUsage;
+      }
     } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      cfg.max_attempts =
-          static_cast<u32>(std::strtoul(arg.c_str() + 15, nullptr, 10));
+      if (!parse_flag("campaign", "--max-attempts", arg.c_str() + 15,
+                      &cfg.max_attempts)) {
+        return kExitUsage;
+      }
       if (cfg.max_attempts == 0) {
         std::fprintf(stderr, "fgsim campaign: --max-attempts must be >= 1\n");
         return kExitUsage;
@@ -104,7 +108,10 @@ int campaign_main(int argc, char** argv) {
     } else if (arg.rfind("--timeout=", 0) == 0) {
       cfg.point_timeout_s = std::strtod(arg.c_str() + 10, nullptr);
     } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      cfg.backoff_ms = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      if (!parse_flag("campaign", "--backoff-ms", arg.c_str() + 13,
+                      &cfg.backoff_ms)) {
+        return kExitUsage;
+      }
     } else if (arg == "--in-process") {
       cfg.isolate = false;
     } else if (arg == "--no-baseline") {

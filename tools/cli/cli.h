@@ -17,6 +17,12 @@
 // (program and subcommand names already stripped by the dispatcher).
 #pragma once
 
+#include <cstdio>
+#include <limits>
+#include <optional>
+
+#include "src/common/env.h"
+
 namespace fg::cli {
 
 // The exit-code contract above, by name.
@@ -24,6 +30,29 @@ inline constexpr int kExitOk = 0;
 inline constexpr int kExitFailure = 1;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitIo = 3;
+
+/// Parses the value of a numeric flag strictly: decimal digits only (no
+/// sign, space or suffix) and within T's range, so `--jobs=4x` or a value
+/// past u32 is an error instead of 4 or a truncated count. On failure it
+/// prints "<cmd>: <flag> ..." to stderr and returns false; the caller exits
+/// kExitUsage.
+template <class T>
+bool parse_flag(const char* cmd, const char* flag, const char* value,
+                T* out) {
+  const std::optional<u64> v = parse_u64_strict(value);
+  if (!v || *v > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr,
+                 "fgsim %s: %s expects a decimal integer in [0, %llu], got "
+                 "'%s'\n",
+                 cmd, flag,
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()),
+                 value);
+    return false;
+  }
+  *out = static_cast<T>(*v);
+  return true;
+}
 
 /// `fgsim run`: one experiment, key-value summary on stdout.
 /// Accepts --spec/--set plus the legacy flag set.

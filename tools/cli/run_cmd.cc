@@ -141,7 +141,9 @@ int run_main(int argc, char** argv) {
     else if (arg == "--stlf") sets.emplace_back("stlf", "true");
     else if (arg == "--detailed-mem") sets.emplace_back("detailed_mem", "true");
     else if (eat("--attacks=", &v)) {
-      legacy_attacks = static_cast<u32>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!parse_flag("run", "--attacks", v.c_str(), &legacy_attacks)) {
+        return kExitUsage;
+      }
     } else {
       std::fprintf(stderr, "fgsim run: unknown option '%s' (try --help)\n",
                    arg.c_str());

@@ -77,16 +77,17 @@ int serve_main(int argc, char** argv) {
       cfg.socket_path = next("--socket");
     } else if (arg.rfind("--socket=", 0) == 0) {
       cfg.socket_path = arg.substr(9);
-    } else if (arg == "--workers") {
-      cfg.workers = static_cast<u32>(std::strtoul(next("--workers"),
-                                                  nullptr, 10));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      cfg.workers =
-          static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 10));
+    } else if (arg == "--workers" || arg.rfind("--workers=", 0) == 0) {
+      const char* v = arg[9] == '=' ? arg.c_str() + 10 : next("--workers");
+      if (!parse_flag("serve", "--workers", v, &cfg.workers)) {
+        return kExitUsage;
+      }
     } else if (arg == "--max-attempts" ||
                arg.rfind("--max-attempts=", 0) == 0) {
       const char* v = arg[14] == '=' ? arg.c_str() + 15 : next("--max-attempts");
-      cfg.max_attempts = static_cast<u32>(std::strtoul(v, nullptr, 10));
+      if (!parse_flag("serve", "--max-attempts", v, &cfg.max_attempts)) {
+        return kExitUsage;
+      }
       if (cfg.max_attempts == 0) {
         std::fprintf(stderr, "fgsim serve: --max-attempts must be >= 1\n");
         return kExitUsage;
@@ -95,10 +96,12 @@ int serve_main(int argc, char** argv) {
       cfg.point_timeout_s = std::strtod(next("--timeout"), nullptr);
     } else if (arg.rfind("--timeout=", 0) == 0) {
       cfg.point_timeout_s = std::strtod(arg.c_str() + 10, nullptr);
-    } else if (arg == "--backoff-ms") {
-      cfg.backoff_ms = std::strtoull(next("--backoff-ms"), nullptr, 10);
-    } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      cfg.backoff_ms = std::strtoull(arg.c_str() + 13, nullptr, 10);
+    } else if (arg == "--backoff-ms" ||
+               arg.rfind("--backoff-ms=", 0) == 0) {
+      const char* v = arg[12] == '=' ? arg.c_str() + 13 : next("--backoff-ms");
+      if (!parse_flag("serve", "--backoff-ms", v, &cfg.backoff_ms)) {
+        return kExitUsage;
+      }
     } else if (arg == "--quiet") {
       cfg.quiet = true;
     } else {

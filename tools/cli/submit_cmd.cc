@@ -215,7 +215,9 @@ int jobs_main(int argc, char** argv) {
     } else if (arg == "--json") {
       as_json = true;
     } else if (arg.rfind("--cancel=", 0) == 0) {
-      cancel_id = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!parse_flag("jobs", "--cancel", arg.c_str() + 9, &cancel_id)) {
+        return kExitUsage;
+      }
       if (cancel_id == 0) {
         std::fprintf(stderr, "fgsim jobs: --cancel expects a submission id\n");
         return kExitUsage;

@@ -65,7 +65,9 @@ int sweep_main(int argc, char** argv) {
       }
       sets.emplace_back(v.substr(0, eq), v.substr(eq + 1));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<u32>(std::strtoul(arg.c_str() + 7, nullptr, 10));
+      if (!parse_flag("sweep", "--jobs", arg.c_str() + 7, &jobs)) {
+        return kExitUsage;
+      }
     } else if (arg == "--json") {
       json_out = next("--json");
     } else if (arg.rfind("--json=", 0) == 0) {

@@ -34,7 +34,7 @@ void usage() {
       "  campaign  resumable sweep against a durable result store\n"
       "  spec      resolve and print a spec (--keys | --schema for tooling)\n"
       "  fuzz      differential scenario fuzzer + golden corpus maintainer\n"
-      "  speed     simulator-speed tracker (BENCH_sim_speed.json)\n"
+      "  speed     event-vs-exact and parallel-vs-serial bit-identity audits\n"
       "  serve     batch experiment daemon (durable store + Unix socket)\n"
       "  submit    send a spec to a running serve daemon\n"
       "  jobs      list or cancel a serve daemon's submissions\n"
